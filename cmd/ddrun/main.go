@@ -171,7 +171,7 @@ func run(path string, mixFlag, selfCheck bool, maxSteps int64, timeout time.Dura
 			core.Params{Width: 8, SelfCheck: true},
 			func() (trace.Source, error) { return prov.Open() })
 		done()
-		cli.ReportStore("ddrun", "", st)
+		cli.ReportStore("ddrun", st)
 		if err != nil {
 			return fmt.Errorf("self-check failed: %w", err)
 		}

@@ -7,9 +7,6 @@
 //	ddserve -addr :8080 -store results/     # serve with a durable store
 //	ddserve -soak                           # chaos soak campaign (CI gate)
 //	ddserve -soak -schedules 8 -seed 7      # shorter, different faults
-//	ddserve -worker -addr :9001             # cluster worker (cell-execution API)
-//	ddserve -coordinator http://h1:9001,http://h2:9001   # shard sweeps across workers
-//	ddserve -cluster-soak -seed 1           # multi-worker chaos campaign (CI gate)
 //
 // On SIGINT/SIGTERM the server drains: admissions stop (503), in-flight
 // jobs finish and checkpoint, queued jobs are canceled. A drain that beats
@@ -26,12 +23,10 @@ import (
 	"log"
 	"net/http"
 	"os"
-	"strings"
 	"time"
 
 	"repro/internal/chaos"
 	"repro/internal/cli"
-	"repro/internal/cluster"
 	"repro/internal/experiments"
 	"repro/internal/metrics"
 	"repro/internal/server"
@@ -64,10 +59,6 @@ func main() {
 		scrubEvery = flag.Duration("scrub-interval", 0, "background store scrub pass interval (0 = scrubbing off; needs -store)")
 		scrubRate  = flag.Duration("scrub-rate", 10*time.Millisecond, "background scrub per-entry pacing")
 		metricsOn  = flag.Bool("metrics", true, "serve GET /metrics (Prometheus text) and GET /jobs/{id}/trace")
-		workerMode = flag.Bool("worker", false, "serve as a cluster worker: expose the cell-execution API (POST /cells, POST /traces, GET /workerz)")
-		coordPeers = flag.String("coordinator", "", "serve as a cluster coordinator: comma-separated worker base URLs (e.g. http://h1:9001,http://h2:9001)")
-		hedgeAfter = flag.Duration("hedge-after", 30*time.Second, "coordinator: speculatively re-dispatch a cell still unresolved after this long (<0 = off)")
-		clusterS   = flag.Bool("cluster-soak", false, "run the multi-worker chaos campaign instead of serving")
 	)
 	flag.Parse()
 	if flag.NArg() != 0 {
@@ -83,15 +74,9 @@ func main() {
 		cli.Exit("ddserve", runPowerFail(logger, *seed, *trials))
 		return
 	}
-	if *clusterS {
-		cli.Exit("ddserve", runClusterSoak(logger, *seed))
-		return
-	}
 	cli.Exit("ddserve", serve(logger, options{
 		addr: *addr, storeDir: *storeDir, drainTimeout: *drainTO,
 		scrubInterval: *scrubEvery, scrubRate: *scrubRate,
-		worker: *workerMode, coordinator: *coordPeers,
-		seed: *seed, hedgeAfter: *hedgeAfter,
 		opt: server.Options{
 			Workers:          *workers,
 			QueueDepth:       *queue,
@@ -116,10 +101,6 @@ type options struct {
 	drainTimeout  time.Duration
 	scrubInterval time.Duration
 	scrubRate     time.Duration
-	worker        bool
-	coordinator   string // comma-separated worker URLs; non-empty enables the role
-	seed          int64
-	hedgeAfter    time.Duration
 	opt           server.Options
 }
 
@@ -148,25 +129,6 @@ func serve(logger *log.Logger, o options) error {
 			logger.Printf("background scrub: every %s, one entry per %s", o.scrubInterval, o.scrubRate)
 		}
 	}
-	// Cluster roles. A worker mounts the cell-execution API; a coordinator
-	// routes every cell computation across its peers. The ISSUE's peer list
-	// rides on -coordinator (not -workers, which has always been the local
-	// pool size).
-	if o.worker {
-		o.opt.Worker = cluster.NewWorker(cluster.WorkerOptions{Store: storeOrNil(st),
-			SpoolDir: o.opt.TraceSpoolDir, MaxTraceMem: o.opt.MaxTraceMem})
-	}
-	var coord *cluster.Coordinator
-	if o.coordinator != "" {
-		urls := splitPeers(o.coordinator)
-		var err error
-		coord, err = cluster.New(urls, cluster.Options{Seed: o.seed, HedgeAfter: o.hedgeAfter,
-			TraceSpoolDir: o.opt.TraceSpoolDir, MaxTraceMem: o.opt.MaxTraceMem})
-		if err != nil {
-			return fmt.Errorf("coordinator: %w", err)
-		}
-		o.opt.Coordinator = coord
-	}
 	srv := server.New(o.opt)
 	// Register the storage layer's families on the server's registry so
 	// one /metrics page carries the whole stack.
@@ -176,24 +138,13 @@ func serve(logger *log.Logger, o options) error {
 	if o.opt.Scrubber != nil {
 		o.opt.Scrubber.Instrument(srv.Metrics())
 	}
-	if coord != nil {
-		coord.Start() // server.New already instrumented it
-		defer coord.Close()
-	}
 	srv.Start()
 
 	hs := &http.Server{Addr: o.addr, Handler: srv.Handler()}
 	errc := make(chan error, 1)
 	go func() { errc <- hs.ListenAndServe() }()
-	role := ""
-	if r := srv.Role(); r != "" {
-		role = " role=" + r
-		if r == "coordinator" {
-			role += fmt.Sprintf(" peers=%d", srv.Peers())
-		}
-	}
-	logger.Printf("serving on %s (workers=%d queue=%d%s)", o.addr,
-		srv.HealthSnapshot().Workers, srv.HealthSnapshot().QueueDepth, role)
+	logger.Printf("serving on %s (workers=%d queue=%d)", o.addr,
+		srv.HealthSnapshot().Workers, srv.HealthSnapshot().QueueDepth)
 
 	// Wait for a signal (or a listener failure, which is fatal).
 	ctx, stop := cli.Context(0)
@@ -221,33 +172,9 @@ func serve(logger *log.Logger, o options) error {
 	}
 	h := srv.HealthSnapshot()
 	logger.Printf("drained clean: %d job records, %d shed, %d quarantined", h.Jobs, h.Shed, h.Quarantined)
-	reportRole := srv.Role()
-	if reportRole == "coordinator" {
-		reportRole = fmt.Sprintf("coordinator peers=%d", srv.Peers())
-	}
-	cli.ReportStore("ddserve", reportRole, st)
+	cli.ReportStore("ddserve", st)
 	logMetricsSnapshot(logger, srv)
 	return nil
-}
-
-// storeOrNil adapts a possibly-nil *store.Store to the worker's interface
-// field (a typed nil inside a non-nil interface would defeat its nil check).
-func storeOrNil(st *store.Store) cluster.ResultStore {
-	if st == nil {
-		return nil
-	}
-	return st
-}
-
-// splitPeers parses the -coordinator URL list.
-func splitPeers(s string) []string {
-	var urls []string
-	for _, p := range strings.Split(s, ",") {
-		if p = strings.TrimSpace(p); p != "" {
-			urls = append(urls, p)
-		}
-	}
-	return urls
 }
 
 // logMetricsSnapshot logs the registry's headline job counters on clean
@@ -283,26 +210,6 @@ func runPowerFail(logger *log.Logger, seed int64, trials int) error {
 		return fmt.Errorf("powerfail: %d violation(s); first: %s", n, sum.Violations[0])
 	}
 	return nil
-}
-
-// runClusterSoak executes the multi-worker chaos campaign
-// (chaos.RunCluster): a 3-worker in-process cluster sweeping the full
-// Table 1 grid while workers are killed, restarted, and partitioned; the
-// merged report must stay byte-identical to an undisturbed single-process
-// run and the dispatch accounting identity must hold. Any violation is a
-// failure (exit 1) — CI gates on it.
-func runClusterSoak(logger *log.Logger, seed int64) error {
-	start := time.Now()
-	sum, err := chaos.RunCluster(chaos.ClusterOptions{Seed: seed, Log: logger.Printf})
-	if sum != nil {
-		logger.Printf("cluster-soak: %d cells over %d workers (%d dispatched, %d hedged, %d fallback) in %s",
-			sum.Cells, sum.Workers, sum.Dispatched, sum.Hedges, sum.Fallbacks,
-			time.Since(start).Round(time.Millisecond))
-		for _, v := range sum.Violations {
-			logger.Printf("cluster-soak: VIOLATION: %s", v)
-		}
-	}
-	return err
 }
 
 func runSoak(logger *log.Logger, seed int64, schedules int, dir string) error {

@@ -33,6 +33,7 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/cli"
@@ -138,12 +139,13 @@ func runSelfTest(seed int64, n int) error {
 	grid := oracle.DefaultGrid()
 	points := len(grid.Configs) * len(grid.Widths) * len(grid.Windows)
 	fmt.Printf("ddsim: conformance self-test: %d traces over %d grid points (seed %d)\n", n, points, seed)
-	d := oracle.SelfTest(seed, n, grid, func(done int) {
-		if done%256 == 0 || done == n {
-			fmt.Fprintf(os.Stderr, "\rddsim: %d/%d traces checked ", done, n)
+	line, done := cli.ProgressLines()
+	d := oracle.SelfTest(seed, n, grid, func(checked int) {
+		if checked%256 == 0 || checked == n {
+			line(fmt.Sprintf("ddsim: %d/%d traces checked", checked, n))
 		}
 	})
-	fmt.Fprintln(os.Stderr)
+	done()
 	if d != nil {
 		return fmt.Errorf("conformance self-test failed (seed %d):\n%s", seed, d.Error())
 	}
@@ -186,18 +188,22 @@ func runExperiments(ctx context.Context, id string, scale int, widthsArg string,
 	}
 	if st != nil {
 		r.WithStoreHandle(st)
-		defer cli.ReportStore("ddsim", "", st)
+		defer cli.ReportStore("ddsim", st)
 	}
-	progressed := false
-	r.OnCellDone = func(done int) {
-		progressed = true
-		fmt.Fprintf(os.Stderr, "\rddsim: %d simulation cell(s) completed ", done)
-	}
-	defer func() {
-		if progressed {
-			fmt.Fprintln(os.Stderr)
+	line, done := cli.ProgressLines()
+	defer done()
+	var mu sync.Mutex
+	high := 0
+	r.OnCellDone = func(n int) {
+		// Prefetch workers report concurrently, so counts can arrive out
+		// of order; never step the printed count backwards.
+		mu.Lock()
+		defer mu.Unlock()
+		if n > high {
+			high = n
+			line(fmt.Sprintf("ddsim: %d simulation cell(s) completed", n))
 		}
-	}()
+	}
 	if widthsArg != "" {
 		for _, part := range strings.Split(widthsArg, ",") {
 			w, err := strconv.Atoi(strings.TrimSpace(part))
@@ -301,7 +307,7 @@ func runTraceFile(ctx context.Context, path, config string, width, window int, o
 		Store: st, Key: key, Retries: opts.retries, Stall: opts.stall, Progress: progress,
 	}, cfg, core.Params{Width: width, WindowSize: window, SelfCheck: opts.selfCheck}, open)
 	done()
-	cli.ReportStore("ddsim", "", st)
+	cli.ReportStore("ddsim", st)
 	if err != nil {
 		return err
 	}
@@ -351,7 +357,7 @@ func runSingle(ctx context.Context, benchmark, config string, width, window, sca
 	}, cfg, core.Params{Width: width, WindowSize: window, SelfCheck: opts.selfCheck},
 		func() (trace.Source, error) { return prov.Open() })
 	done()
-	cli.ReportStore("ddsim", "", st)
+	cli.ReportStore("ddsim", st)
 	if err != nil {
 		return err
 	}

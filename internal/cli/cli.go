@@ -19,7 +19,7 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/trace"
+	"repro/internal/retry"
 )
 
 // Exit codes for the three tools.
@@ -45,21 +45,20 @@ func Usagef(format string, args ...any) error {
 
 // Canceled reports whether err stems from context cancellation or a
 // deadline (SIGINT/SIGTERM or -timeout).
-func Canceled(err error) bool {
-	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
-}
+func Canceled(err error) bool { return retry.Classify(err).Cancellation() }
 
-// Code classifies err into the exit-code contract above.
+// Code maps err onto the exit-code contract above: usage errors are the
+// CLIs' own; everything else follows its retry.Kind.
 func Code(err error) int {
 	var ue *usageError
-	switch {
+	switch k := retry.Classify(err); {
 	case err == nil:
 		return ExitOK
 	case errors.As(err, &ue):
 		return ExitUsage
-	case Canceled(err):
+	case k.Cancellation():
 		return ExitCanceled
-	case trace.IsCorrupt(err):
+	case k == retry.Corrupt:
 		return ExitCorrupt
 	default:
 		return ExitSim

@@ -12,6 +12,7 @@ import (
 	"io"
 	"os"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/core"
@@ -47,19 +48,13 @@ func OpenStore(dir string, resume bool) (*store.Store, error) {
 }
 
 // ReportStore prints the store's hit/miss summary to stderr (no-op on a
-// nil store). role, when non-empty, names the process's cluster role
-// ("worker", "coordinator peers=3") so multi-process logs attribute store
-// traffic; the bare format is unchanged when role is empty — the
-// resume-smoke CI job greps this line.
-func ReportStore(tool, role string, st *store.Store) {
+// nil store). The resume-smoke CI job greps this line.
+func ReportStore(tool string, st *store.Store) {
 	if st == nil {
 		return
 	}
 	s := st.Stats()
 	msg := fmt.Sprintf("%s: store: %d hit(s), %d miss(es)", tool, s.Hits, s.Misses)
-	if role != "" {
-		msg = fmt.Sprintf("%s [%s]: store: %d hit(s), %d miss(es)", tool, role, s.Hits, s.Misses)
-	}
 	if s.Corrupt > 0 {
 		msg += fmt.Sprintf(", %d corrupt entr(y/ies) recomputed", s.Corrupt)
 	}
@@ -79,11 +74,7 @@ const nonTTYProgressEvery = 2 * time.Second
 
 // Progress returns a heartbeat printer that renders the instruction and
 // cycle counts to stderr, plus a done func that terminates the output
-// (call it once, after the run). On a terminal the printer rewrites one
-// line in place, clearing to end-of-line so a count that shrinks between
-// rewrites never leaves stale trailing characters. When stderr is
-// redirected (CI logs, pipes) it falls back to occasional full lines —
-// \r-rewrites would smear every heartbeat across the captured log.
+// (call it once, after the run). It prints through ProgressLines.
 func Progress(tool string) (hook func(core.Progress), done func()) {
 	return progressTo(os.Stderr, stderrIsTTY(), tool, time.Now)
 }
@@ -91,33 +82,63 @@ func Progress(tool string) (hook func(core.Progress), done func()) {
 // progressTo is Progress with the writer, TTY-ness, and clock injected for
 // tests.
 func progressTo(w io.Writer, tty bool, tool string, now func() time.Time) (hook func(core.Progress), done func()) {
+	line, done := linesTo(w, tty, now)
+	hook = func(p core.Progress) {
+		line(fmt.Sprintf("%s: %d instructions, %d cycles", tool, p.Records, p.Cycles))
+	}
+	return hook, done
+}
+
+// ProgressLines returns a printer for preformatted progress lines on
+// stderr, plus a done func that terminates the output (call it once,
+// after the run). On a terminal the printer rewrites one line in place,
+// clearing to end-of-line so a line that shrinks between rewrites never
+// leaves stale trailing characters. When stderr is redirected (CI logs,
+// pipes) it falls back to occasional full lines — \r-rewrites would smear
+// every update across the captured log — and done prints the newest line
+// the throttle held back, so the final count always lands. The printer is
+// safe for concurrent use.
+func ProgressLines() (line func(string), done func()) {
+	return linesTo(os.Stderr, stderrIsTTY(), time.Now)
+}
+
+// linesTo is ProgressLines with the writer, TTY-ness, and clock injected
+// for tests.
+func linesTo(w io.Writer, tty bool, now func() time.Time) (line func(string), done func()) {
+	var mu sync.Mutex
 	rewriting := false
 	prevLen := 0
 	var lastLine time.Time
-	hook = func(p core.Progress) {
-		line := fmt.Sprintf("%s: %d instructions, %d cycles", tool, p.Records, p.Cycles)
+	held := "" // non-TTY: the newest line the throttle held back
+	line = func(s string) {
+		mu.Lock()
+		defer mu.Unlock()
 		if tty {
 			// Pad over any leftover from a longer previous render.
-			pad := prevLen - len(line)
-			if pad < 0 {
-				pad = 0
-			}
-			fmt.Fprintf(w, "\r%s%s", line, strings.Repeat(" ", pad))
-			prevLen = len(line)
+			fmt.Fprintf(w, "\r%s%s", s, strings.Repeat(" ", max(prevLen-len(s), 0)))
+			prevLen = len(s)
 			rewriting = true
 			return
 		}
 		if t := now(); lastLine.IsZero() || t.Sub(lastLine) >= nonTTYProgressEvery {
 			lastLine = t
-			fmt.Fprintln(w, line)
+			held = ""
+			fmt.Fprintln(w, s)
+			return
 		}
+		held = s
 	}
 	done = func() {
-		if rewriting {
+		mu.Lock()
+		defer mu.Unlock()
+		switch {
+		case rewriting:
 			fmt.Fprintln(w)
+		case held != "":
+			fmt.Fprintln(w, held)
 		}
 	}
-	return hook, done
+	return line, done
 }
 
 // stderrIsTTY reports whether stderr is a character device (a terminal

@@ -212,4 +212,18 @@ func TestProgressNonTTYThrottlesFullLines(t *testing.T) {
 	if buf.Len() == 0 || strings.HasSuffix(out, "\n\n") {
 		t.Fatalf("done() must not add a newline in non-TTY mode: %q", out)
 	}
+	// The last beat fell inside the throttle window; done() must still
+	// print it, so a log always ends on the final count.
+	if last, want := lines[len(lines)-1], "tool: 99 instructions, 198 cycles"; last != want {
+		t.Fatalf("last non-TTY line = %q, want the final count %q", last, want)
+	}
+
+	// A final count the throttle already printed is not repeated.
+	buf.Reset()
+	hook, done = progressTo(&buf, false, "tool", now)
+	hook(core.Progress{Records: 7, Cycles: 8})
+	done()
+	if got, want := buf.String(), "tool: 7 instructions, 8 cycles\n"; got != want {
+		t.Fatalf("single beat + done() = %q, want %q", got, want)
+	}
 }

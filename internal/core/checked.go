@@ -27,12 +27,6 @@ func (e *InvariantError) Error() string {
 		e.Invariant, e.Cycle, e.Seq, e.Detail)
 }
 
-// Permanent reports that an invariant violation is never worth retrying:
-// the scheduler is deterministic, so the same trace and configuration will
-// violate the same invariant again. internal/retry consults this marker
-// when classifying cell failures.
-func (e *InvariantError) Permanent() bool { return true }
-
 // ctxCheckMask throttles context polls to one per 1024 instructions, which
 // bounds cancellation latency to microseconds without measurable cost on
 // the hot loop.

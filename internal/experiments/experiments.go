@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -10,9 +9,9 @@ import (
 	"repro/internal/bpred"
 	"repro/internal/collapse"
 	"repro/internal/core"
+	"repro/internal/retry"
 	"repro/internal/stats"
 	"repro/internal/trace"
-	"repro/internal/watchdog"
 	"repro/internal/workloads"
 )
 
@@ -49,14 +48,14 @@ func naCell(v float64) any {
 	return v
 }
 
-// failedCell renders a metric whose run may have been reaped by the stall
-// watchdog or the per-cell deadline: reaped cells say which supervisor
-// fired, other failures stay plain "n/a".
-func failedCell(v float64, stalled, deadlined bool) any {
-	switch {
-	case deadlined:
+// failedCell renders a metric whose run may have failed with err: cells
+// reaped by the per-cell deadline or the stall watchdog say which
+// supervisor fired, other failures stay plain "n/a".
+func failedCell(v float64, err error) any {
+	switch retry.Classify(err) {
+	case retry.CellDeadline:
 		return "n/a (deadline)"
-	case stalled:
+	case retry.Stalled:
 		return "n/a (stalled)"
 	}
 	return naCell(v)
@@ -693,16 +692,15 @@ func Table6(r *Runner) (*Report, error) {
 
 // PerBenchRow is one benchmark's IPC under every configuration at one
 // width. The paper reports only harmonic means; this exposes the
-// per-benchmark detail behind them. Stalled marks cells reaped by the
-// stall watchdog (Runner.StallTimeout): they render as "n/a (stalled)" to
-// distinguish a hung simulation from an ordinary failure. Deadlined marks
-// cells reaped by the per-cell deadline (Runner.CellTimeout): they render
-// as "n/a (deadline)".
+// per-benchmark detail behind them. Err holds each failed cell's error:
+// cells reaped by the stall watchdog (Runner.StallTimeout) render as
+// "n/a (stalled)" and cells reaped by the per-cell deadline
+// (Runner.CellTimeout) as "n/a (deadline)", to tell them from an ordinary
+// failure.
 type PerBenchRow struct {
-	Name      string
-	IPC       map[string]float64 // config name -> IPC
-	Stalled   map[string]bool    // config name -> reaped by the watchdog
-	Deadlined map[string]bool    // config name -> reaped by the cell deadline
+	Name string
+	IPC  map[string]float64 // config name -> IPC
+	Err  map[string]error   // config name -> the cell's failure
 }
 
 // PerBenchmark computes per-benchmark IPCs for all configurations at the
@@ -716,8 +714,7 @@ func PerBenchmark(r *Runner, width int) ([]PerBenchRow, []error, error) {
 	var rows []PerBenchRow
 	var c collector
 	for _, w := range set {
-		row := PerBenchRow{Name: w.Name, IPC: make(map[string]float64),
-			Stalled: make(map[string]bool), Deadlined: make(map[string]bool)}
+		row := PerBenchRow{Name: w.Name, IPC: make(map[string]float64), Err: make(map[string]error)}
 		for _, cfg := range core.Configs() {
 			res, err := r.Result(w, cfg, width)
 			if err != nil {
@@ -726,8 +723,7 @@ func PerBenchmark(r *Runner, width int) ([]PerBenchRow, []error, error) {
 				}
 				c.add(err)
 				row.IPC[cfg.Name] = math.NaN()
-				row.Stalled[cfg.Name] = errors.Is(err, watchdog.ErrStalled)
-				row.Deadlined[cfg.Name] = errors.Is(err, ErrCellDeadline)
+				row.Err[cfg.Name] = err
 				continue
 			}
 			row.IPC[cfg.Name] = res.IPC()
@@ -751,7 +747,7 @@ func PerBenchmarkReport(r *Runner, width int) (*Report, error) {
 	for _, row := range rows {
 		cells := []any{row.Name}
 		for _, cfg := range core.Configs() {
-			cells = append(cells, failedCell(row.IPC[cfg.Name], row.Stalled[cfg.Name], row.Deadlined[cfg.Name]))
+			cells = append(cells, failedCell(row.IPC[cfg.Name], row.Err[cfg.Name]))
 		}
 		t.AddRowf(cells...)
 	}

@@ -91,7 +91,6 @@ type Runner struct {
 
 	ctx       context.Context
 	store     ResultStore
-	exec      Executor
 	perf      *perf.Collector
 	metrics   *RunnerMetrics
 	workers   int
@@ -137,19 +136,6 @@ type ResultStore interface {
 	Stats() store.Stats
 }
 
-// Executor computes one sweep cell. It is the remote-execution seam: the
-// Runner keeps its memory cache, durable store, taxonomy retry, and report
-// rendering, and only the "simulate" step is delegated — locally by
-// default, or across a worker cluster when internal/cluster's Coordinator
-// is plugged in (it satisfies this interface without either package
-// importing the other). Scale is always >= 1 (the Runner normalizes its 0
-// = workload-default convention before the call). Implementations must be
-// deterministic in the result: the sweep report is byte-compared across
-// executors.
-type Executor interface {
-	ExecuteCell(ctx context.Context, w *workloads.Workload, cfg core.Config, width, scale int, selfCheck bool) (*core.Result, error)
-}
-
 // ErrCellDeadline matches (via errors.Is) cell failures caused by the
 // Runner's per-cell deadline (CellTimeout).
 var ErrCellDeadline = errors.New("experiments: cell deadline exceeded")
@@ -170,9 +156,10 @@ func (e *CellDeadlineError) Error() string {
 // Is matches the ErrCellDeadline sentinel.
 func (e *CellDeadlineError) Is(target error) bool { return target == ErrCellDeadline }
 
-// Permanent marks deadline failures as never worth retrying: the pipeline
-// is deterministic, so the same cell overruns the same budget again.
-func (e *CellDeadlineError) Permanent() bool { return true }
+// Kind classifies deadline failures as permanent (never retried): the
+// pipeline is deterministic, so the same cell overruns the same budget
+// again.
+func (e *CellDeadlineError) Kind() retry.Kind { return retry.CellDeadline }
 
 // NewRunner creates a Runner at the given scale (0 = workload defaults).
 func NewRunner(scale int) *Runner {
@@ -215,14 +202,6 @@ func (r *Runner) WithTraceSpool(dir string) *Runner {
 // chaining.
 func (r *Runner) WithMaxTraceMem(bytes int64) *Runner {
 	r.traceOpts.MaxMem = bytes
-	return r
-}
-
-// WithExecutor delegates cell computation to exec (nil restores the local
-// simulator). Store lookups, retry, stall-free deadline accounting, and
-// persistence stay Runner-side. It returns the Runner for chaining.
-func (r *Runner) WithExecutor(exec Executor) *Runner {
-	r.exec = exec
 	return r
 }
 
@@ -319,9 +298,7 @@ func (r *Runner) widths() []int {
 // canceled reports whether err stems from context cancellation or a
 // deadline — the only error class that aborts a whole experiment rather
 // than degrading one cell.
-func canceled(err error) bool {
-	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
-}
+func canceled(err error) bool { return retry.Classify(err).Cancellation() }
 
 // Result returns the simulation result for one (workload, config, width),
 // computing and caching it on first use. Errors other than cancellation are
@@ -435,38 +412,26 @@ func (r *Runner) compute(ctx context.Context, w *workloads.Workload, cfg core.Co
 		if r.CellTimeout > 0 {
 			runCtx, cancelCell = context.WithTimeout(actx, r.CellTimeout)
 		}
-		var got *core.Result
-		var rerr error
-		if r.exec != nil {
-			// Delegated execution (e.g. a worker cluster). The cell
-			// deadline still applies; stall supervision does not — progress
-			// heartbeats don't cross the wire, and the executor owns its
-			// own straggler handling (per-batch deadlines, hedging).
-			runCtx, sspan := metrics.StartSpan(runCtx, "execute")
-			got, rerr = r.exec.ExecuteCell(runCtx, w, cfg, width, r.scaleFor(w), r.SelfCheck)
-			sspan.End()
-		} else {
-			runCtx, sspan := metrics.StartSpan(runCtx, "simulate")
-			got, rerr = watchdog.Run(runCtx, r.StallTimeout, func(wctx context.Context, beat func()) (*core.Result, error) {
-				p := core.Params{Width: width, SelfCheck: r.SelfCheck}
-				if r.StallTimeout > 0 {
-					p.Progress = func(core.Progress) { beat() }
-					p.ProgressEvery = stallHeartbeatEvery
-				}
-				// A fresh open per attempt: providers replay from the start
-				// (re-reading a spool, re-running the VM), so a retry never
-				// resumes a half-consumed stream. Closing releases whatever
-				// the open holds (a file, a generation goroutine) even when
-				// the simulation aborts mid-stream.
-				src, oerr := prov.Open()
-				if oerr != nil {
-					return nil, oerr
-				}
-				defer trace.CloseSource(src)
-				return core.RunChecked(wctx, src, cfg, p)
-			})
-			sspan.End()
-		}
+		runCtx, sspan := metrics.StartSpan(runCtx, "simulate")
+		got, rerr := watchdog.Run(runCtx, r.StallTimeout, func(wctx context.Context, beat func()) (*core.Result, error) {
+			p := core.Params{Width: width, SelfCheck: r.SelfCheck}
+			if r.StallTimeout > 0 {
+				p.Progress = func(core.Progress) { beat() }
+				p.ProgressEvery = stallHeartbeatEvery
+			}
+			// A fresh open per attempt: providers replay from the start
+			// (re-reading a spool, re-running the VM), so a retry never
+			// resumes a half-consumed stream. Closing releases whatever
+			// the open holds (a file, a generation goroutine) even when
+			// the simulation aborts mid-stream.
+			src, oerr := prov.Open()
+			if oerr != nil {
+				return nil, oerr
+			}
+			defer trace.CloseSource(src)
+			return core.RunChecked(wctx, src, cfg, p)
+		})
+		sspan.End()
 		cancelCell()
 		if rerr != nil {
 			// A deadline that fired on the *cell's* derived context while

@@ -25,7 +25,7 @@
 //     disagree — there is exactly one underlying atomic;
 //   - Histogram: fixed upper-bound buckets, atomic per-bucket counts,
 //     lock-free Observe, quantile estimation by linear interpolation;
-//   - labeled families (CounterVec/GaugeVec/HistogramVec): one family
+//   - labeled families (CounterVec/HistogramVec): one family
 //     name, one child metric per label-value tuple.
 //
 // Registration is idempotent: asking for an existing family with the same
@@ -236,20 +236,6 @@ func (r *Registry) CounterVec(name, help string, labelNames ...string) *CounterV
 func (v *CounterVec) With(labelValues ...string) *Counter {
 	c := v.f.childFor(labelValues, func() *child { return &child{counter: &Counter{}} })
 	return c.counter
-}
-
-// GaugeVec is a labeled gauge family.
-type GaugeVec struct{ f *family }
-
-// GaugeVec registers (or fetches) a labeled gauge family.
-func (r *Registry) GaugeVec(name, help string, labelNames ...string) *GaugeVec {
-	return &GaugeVec{r.familyFor(name, help, kindGauge, labelNames, nil)}
-}
-
-// With returns the child gauge for the given label values.
-func (v *GaugeVec) With(labelValues ...string) *Gauge {
-	c := v.f.childFor(labelValues, func() *child { return &child{gauge: &Gauge{}} })
-	return c.gauge
 }
 
 // HistogramVec is a labeled histogram family.

@@ -1,22 +1,23 @@
-// Package retry implements bounded retry with exponential backoff and
-// jitter for transient simulation-cell failures, classified through the
-// pipeline's error taxonomy (docs/robustness.md):
+// Package retry holds the pipeline's error taxonomy (docs/robustness.md
+// §6) and the bounded retry loop built on it. Classify maps any error onto
+// one Kind, and every boundary derives its answer from that Kind: Do's
+// attempt budget, the server's JobError kind, the CLIs' exit code and a
+// sweep's rendered cell label.
 //
-//   - context cancellation and deadlines are Canceled — the caller's run
-//     is over; retrying would fight the user;
+//   - context cancellation and deadlines end the caller's run; retrying
+//     would fight the user;
 //   - corrupt input (trace.IsCorrupt: bad magic, truncation, checksum
-//     mismatches …) is Permanent — the bytes will not heal;
-//   - scheduler invariant violations (core.InvariantError) and watchdog
-//     stalls (watchdog.ErrStalled) are Permanent — the pipeline is
-//     deterministic, so the same cell fails the same way again (both mark
-//     themselves via the Permanent()/sentinel conventions below);
+//     mismatches …) is permanent — the bytes will not heal;
+//   - scheduler invariant violations (core.InvariantError), panics
+//     (watchdog.PanicError), watchdog stalls (watchdog.ErrStalled) and
+//     per-cell deadlines are permanent — the pipeline is deterministic, so
+//     the same cell fails the same way again;
 //   - everything else — injected faults (faultinject.ErrInjected), I/O and
 //     stream hiccups, net-style timeouts — is Transient and worth a
 //     bounded, backed-off re-attempt.
 //
-// The classifier is extensible without import cycles: any error exposing
-// `Permanent() bool` is classified by its own answer, mirroring the
-// net.Error Timeout()/Temporary() convention.
+// Errors defined above this package in the import graph classify
+// themselves by exposing `Kind() Kind` (experiments.CellDeadlineError).
 package retry
 
 import (
@@ -27,6 +28,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/trace"
 	"repro/internal/watchdog"
 )
@@ -48,52 +50,75 @@ func Attempts() int64 { return totalAttempts.Load() }
 // transient failure) have been taken process-wide since start.
 func Backoffs() int64 { return totalBackoffs.Load() }
 
-// Class partitions errors by what retrying can achieve.
-type Class int
+// Kind is an error's place in the taxonomy. Canceled and
+// DeadlineExceeded end the caller's whole run; CellDeadline and every kind
+// after it is permanent.
+type Kind int
 
 const (
-	// Transient failures may heal on re-attempt.
-	Transient Class = iota
-	// Permanent failures are deterministic; retrying repeats them.
-	Permanent
-	// Canceled failures come from the caller's own context; stop at once.
+	// Transient failures may heal on re-attempt. Unrecognized errors land
+	// here.
+	Transient Kind = iota
+	// Canceled: the caller's context was canceled (context.Canceled).
 	Canceled
+	// DeadlineExceeded: the caller's context deadline expired.
+	DeadlineExceeded
+	// CellDeadline: one cell overran its own budget
+	// (experiments.CellDeadlineError); the sweep around it goes on.
+	CellDeadline
+	// Stalled: the stall watchdog reaped a silent operation.
+	Stalled
+	// Panic: a supervised worker panicked (watchdog.PanicError).
+	Panic
+	// Invariant: a scheduler self-check failed (core.InvariantError).
+	Invariant
+	// Corrupt: corrupt or truncated trace or store input.
+	Corrupt
 )
 
-// String names the class.
-func (c Class) String() string {
-	switch c {
-	case Transient:
-		return "transient"
-	case Permanent:
-		return "permanent"
-	case Canceled:
-		return "canceled"
+var kindNames = [...]string{"transient", "canceled", "deadline-exceeded", "cell-deadline",
+	"stalled", "panic", "invariant", "corrupt"}
+
+// String names the kind.
+func (k Kind) String() string {
+	if k >= 0 && int(k) < len(kindNames) {
+		return kindNames[k]
 	}
-	return fmt.Sprintf("class(%d)", int(c))
+	return fmt.Sprintf("kind(%d)", int(k))
 }
 
-// Classify maps err onto the taxonomy above. Unknown errors default to
-// Transient: the retry budget is bounded, so the cost of re-attempting a
-// novel permanent failure is a few backoffs, while misclassifying a
-// transient one as permanent would forfeit a recoverable cell.
-func Classify(err error) Class {
+// Permanent reports whether the failure is deterministic, so retrying it
+// repeats it.
+func (k Kind) Permanent() bool { return k >= CellDeadline }
+
+// Cancellation reports whether the caller's own context ended the run:
+// the whole operation stops, not just one cell.
+func (k Kind) Cancellation() bool { return k == Canceled || k == DeadlineExceeded }
+
+// Classify maps err onto the taxonomy above. Cancellation wins over
+// everything else an error wraps. Unknown errors default to Transient: the
+// retry budget is bounded, so the cost of re-attempting a novel permanent
+// failure is a few backoffs, while misclassifying a transient one as
+// permanent would forfeit a recoverable cell.
+func Classify(err error) Kind {
+	var k interface{ Kind() Kind }
 	switch {
 	case err == nil:
 		return Transient
-	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
+	case errors.Is(err, context.DeadlineExceeded):
+		return DeadlineExceeded
+	case errors.Is(err, context.Canceled):
 		return Canceled
 	case trace.IsCorrupt(err):
-		return Permanent
+		return Corrupt
 	case errors.Is(err, watchdog.ErrStalled):
-		return Permanent
-	}
-	var p interface{ Permanent() bool }
-	if errors.As(err, &p) {
-		if p.Permanent() {
-			return Permanent
-		}
-		return Transient
+		return Stalled
+	case errors.As(err, new(*watchdog.PanicError)):
+		return Panic
+	case errors.As(err, new(*core.InvariantError)):
+		return Invariant
+	case errors.As(err, &k):
+		return k.Kind()
 	}
 	return Transient
 }
@@ -116,8 +141,6 @@ type Policy struct {
 	Jitter float64
 	// Seed drives the jitter; 0 seeds from the clock. Tests pin it.
 	Seed int64
-	// Classify overrides the default classifier when non-nil.
-	Classify func(error) Class
 	// Sleep overrides the backoff wait when non-nil (tests record delays
 	// instead of sleeping). It must honor ctx.
 	Sleep func(ctx context.Context, d time.Duration) error
@@ -144,9 +167,6 @@ func (p Policy) withDefaults() Policy {
 	}
 	if p.Seed == 0 {
 		p.Seed = time.Now().UnixNano()
-	}
-	if p.Classify == nil {
-		p.Classify = Classify
 	}
 	if p.Sleep == nil {
 		p.Sleep = sleep
@@ -186,7 +206,7 @@ func Do(ctx context.Context, p Policy, fn func(attempt int) error) (attempts int
 		if attempt >= p.MaxAttempts {
 			return attempt, err
 		}
-		if class := p.Classify(err); class != Transient {
+		if Classify(err) != Transient {
 			return attempt, err
 		}
 		d := delay

@@ -13,30 +13,44 @@ import (
 	"repro/internal/watchdog"
 )
 
-// TestClassify pins the error taxonomy: cancellations stop, corruption and
-// invariant violations are permanent, injected faults and unknowns are
-// transient.
+// selfClassified stands in for errors defined above this package that
+// classify themselves (experiments.CellDeadlineError).
+type selfClassified struct{}
+
+func (selfClassified) Error() string { return "cell overran" }
+func (selfClassified) Kind() Kind    { return CellDeadline }
+
+// TestClassify pins the error taxonomy: cancellations stop the run,
+// corruption, invariant violations, panics, stalls and cell deadlines are
+// permanent, injected faults and unknowns are transient.
 func TestClassify(t *testing.T) {
 	cases := []struct {
-		name string
-		err  error
-		want Class
+		name      string
+		err       error
+		want      Kind
+		permanent bool
 	}{
-		{"nil", nil, Transient},
-		{"canceled", context.Canceled, Canceled},
-		{"deadline", context.DeadlineExceeded, Canceled},
-		{"wrapped cancel", fmt.Errorf("cell: %w", context.Canceled), Canceled},
-		{"corrupt trace", fmt.Errorf("read: %w", trace.ErrCorruptRecord), Permanent},
-		{"bad magic", trace.ErrBadMagic, Permanent},
-		{"invariant", &core.InvariantError{Invariant: "issue-width", Cycle: 3}, Permanent},
-		{"wrapped invariant", fmt.Errorf("run: %w", &core.InvariantError{}), Permanent},
-		{"stalled", fmt.Errorf("cell: %w", watchdog.ErrStalled), Permanent},
-		{"injected fault", faultinject.ErrInjected, Transient},
-		{"unknown", errors.New("mystery"), Transient},
+		{"nil", nil, Transient, false},
+		{"canceled", context.Canceled, Canceled, false},
+		{"deadline", context.DeadlineExceeded, DeadlineExceeded, false},
+		{"wrapped cancel", fmt.Errorf("cell: %w", context.Canceled), Canceled, false},
+		{"corrupt trace", fmt.Errorf("read: %w", trace.ErrCorruptRecord), Corrupt, true},
+		{"bad magic", trace.ErrBadMagic, Corrupt, true},
+		{"invariant", &core.InvariantError{Invariant: "issue-width", Cycle: 3}, Invariant, true},
+		{"wrapped invariant", fmt.Errorf("run: %w", &core.InvariantError{}), Invariant, true},
+		{"stalled", fmt.Errorf("cell: %w", watchdog.ErrStalled), Stalled, true},
+		{"panic", fmt.Errorf("cell: %w", &watchdog.PanicError{Value: "boom"}), Panic, true},
+		{"self-classified", fmt.Errorf("cell: %w", selfClassified{}), CellDeadline, true},
+		{"injected fault", faultinject.ErrInjected, Transient, false},
+		{"unknown", errors.New("mystery"), Transient, false},
 	}
 	for _, tc := range cases {
-		if got := Classify(tc.err); got != tc.want {
+		got := Classify(tc.err)
+		if got != tc.want {
 			t.Errorf("Classify(%s) = %v, want %v", tc.name, got, tc.want)
+		}
+		if got.Permanent() != tc.permanent {
+			t.Errorf("Classify(%s).Permanent() = %v, want %v", tc.name, got.Permanent(), tc.permanent)
 		}
 	}
 }
@@ -238,24 +252,6 @@ func TestZeroPolicyMeansOneAttempt(t *testing.T) {
 	})
 	if attempts != 1 || calls != 1 || err == nil {
 		t.Fatalf("attempts = %d, calls = %d, err = %v; want single failing attempt", attempts, calls, err)
-	}
-}
-
-// TestClassifyOverride: a custom classifier replaces the default wholesale.
-func TestClassifyOverride(t *testing.T) {
-	p := Policy{
-		MaxAttempts: 4,
-		Classify:    func(error) Class { return Permanent },
-		Sleep: func(context.Context, time.Duration) error {
-			t.Fatal("slept despite Permanent classification")
-			return nil
-		},
-	}
-	attempts, _ := Do(context.Background(), p, func(int) error {
-		return faultinject.ErrInjected // default classifier would retry this
-	})
-	if attempts != 1 {
-		t.Fatalf("attempts = %d, want 1", attempts)
 	}
 }
 

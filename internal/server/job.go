@@ -6,16 +6,13 @@ package server
 // layer: clients branch on Kind, never on message text.
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"time"
 
-	"repro/internal/cluster"
 	"repro/internal/core"
-	"repro/internal/experiments"
 	"repro/internal/metrics"
-	"repro/internal/trace"
+	"repro/internal/retry"
 	"repro/internal/watchdog"
 	"repro/internal/workloads"
 )
@@ -128,37 +125,35 @@ func (j *Job) key() cellKey {
 	return cellKey{j.Spec.Workload, j.cfg.Fingerprint(), j.Spec.Width, j.Spec.SelfCheck}
 }
 
-// classify maps a pipeline error onto the JobError taxonomy. draining
-// distinguishes a shutdown-canceled job from a client-deadline one.
+// classify maps a pipeline error's retry.Kind onto the JobError kinds.
+// draining distinguishes a shutdown-canceled job from a client-canceled
+// one; that split is the server's own.
 func classify(err error, draining bool) *JobError {
 	if err == nil {
 		return nil
 	}
-	var inv *core.InvariantError
-	var pe *watchdog.PanicError
-	var re *cluster.RemoteError
-	switch {
-	case errors.As(err, &re):
-		// A remote failure arrives pre-classified in the same taxonomy;
-		// carry the kind through so clients cannot tell where a cell ran.
-		return &JobError{Kind: re.Kind, Message: err.Error()}
-	case errors.As(err, &pe):
-		return &JobError{Kind: KindPanic, Message: pe.Error()}
-	case errors.As(err, &inv):
-		return &JobError{Kind: KindInvariant, Message: err.Error()}
-	case errors.Is(err, watchdog.ErrStalled):
-		return &JobError{Kind: KindStalled, Message: err.Error()}
-	case errors.Is(err, experiments.ErrCellDeadline),
-		errors.Is(err, context.DeadlineExceeded):
-		return &JobError{Kind: KindDeadline, Message: err.Error()}
-	case errors.Is(err, context.Canceled):
-		kind := KindCanceled
+	kind := KindSim
+	msg := err.Error()
+	switch retry.Classify(err) {
+	case retry.Panic:
+		kind = KindPanic
+		// Report the bare panic, not the cell path wrapped around it.
+		var pe *watchdog.PanicError
+		errors.As(err, &pe)
+		msg = pe.Error()
+	case retry.Invariant:
+		kind = KindInvariant
+	case retry.Stalled:
+		kind = KindStalled
+	case retry.CellDeadline, retry.DeadlineExceeded:
+		kind = KindDeadline
+	case retry.Canceled:
+		kind = KindCanceled
 		if draining {
 			kind = KindDrain
 		}
-		return &JobError{Kind: kind, Message: err.Error()}
-	case trace.IsCorrupt(err):
-		return &JobError{Kind: KindCorrupt, Message: err.Error()}
+	case retry.Corrupt:
+		kind = KindCorrupt
 	}
-	return &JobError{Kind: KindSim, Message: err.Error()}
+	return &JobError{Kind: kind, Message: msg}
 }

@@ -31,7 +31,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/metrics"
@@ -91,15 +90,6 @@ type Options struct {
 	// internal instrumentation is unconditional); only the HTTP surface
 	// is withheld.
 	DisableMetrics bool
-	// Coordinator, when non-nil, routes every cell computation through a
-	// worker cluster (ddserve -coordinator). The server instruments it on
-	// its registry and owns Start/Close around the serve lifetime.
-	Coordinator *cluster.Coordinator
-	// Worker, when non-nil, mounts the cell-execution API (POST /cells,
-	// POST /traces, GET /workerz) so this process serves as a cluster
-	// worker (ddserve -worker). A process can be both (a coordinator that
-	// also executes), though ddserve exposes them as distinct roles.
-	Worker *cluster.Worker
 }
 
 func (o Options) withDefaults() Options {
@@ -207,18 +197,9 @@ func New(opt Options) *Server {
 		if opt.MaxTraceMem > 0 {
 			r.WithMaxTraceMem(opt.MaxTraceMem)
 		}
-		if opt.Coordinator != nil {
-			r.WithExecutor(opt.Coordinator)
-		}
 		return r
 	}
 	s.plain, s.checked = mk(false, "plain"), mk(true, "checked")
-	if opt.Coordinator != nil {
-		opt.Coordinator.Instrument(s.reg)
-	}
-	if opt.Worker != nil {
-		opt.Worker.Instrument(s.reg)
-	}
 
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /jobs", s.instrumented("/jobs", s.handleSubmitJob))
@@ -231,33 +212,8 @@ func New(opt Options) *Server {
 		mux.HandleFunc("GET /metrics", s.handleMetrics)
 		mux.HandleFunc("GET /jobs/{id}/trace", s.instrumented("/jobs/{id}/trace", s.handleJobTrace))
 	}
-	if opt.Worker != nil {
-		mux.HandleFunc("POST /cells", s.instrumented("/cells", opt.Worker.HandleCells))
-		mux.HandleFunc("POST /traces", s.instrumented("/traces", opt.Worker.HandleTraces))
-		mux.HandleFunc("GET /workerz", s.instrumented("/workerz", opt.Worker.HandleStatus))
-	}
 	s.mux = mux
 	return s
-}
-
-// Role names the process's cluster role for logs and /healthz: "worker",
-// "coordinator", or "" for a plain single-process server.
-func (s *Server) Role() string {
-	switch {
-	case s.opt.Coordinator != nil:
-		return "coordinator"
-	case s.opt.Worker != nil:
-		return "worker"
-	}
-	return ""
-}
-
-// Peers reports how many workers a coordinator dispatches to (0 otherwise).
-func (s *Server) Peers() int {
-	if s.opt.Coordinator == nil {
-		return 0
-	}
-	return len(s.opt.Coordinator.Workers())
 }
 
 // Metrics returns the server's registry so owners (ddserve) can register
@@ -726,10 +682,6 @@ type Health struct {
 	Breaker           *BreakerStats     `json:"breaker,omitempty"`
 	Store             *store.Stats      `json:"store,omitempty"`
 	Scrub             *store.ScrubStats `json:"scrub,omitempty"`
-	// Cluster role: "worker", "coordinator", or absent for a plain server.
-	Role    string           `json:"role,omitempty"`
-	Peers   int              `json:"peers,omitempty"`   // coordinator: worker count
-	Cluster []cluster.Status `json:"cluster,omitempty"` // coordinator: per-worker health + accounting
 }
 
 // HealthSnapshot builds the health document (also used by ddserve logs).
@@ -761,11 +713,6 @@ func (s *Server) HealthSnapshot() Health {
 	if s.opt.Scrubber != nil {
 		sc := s.opt.Scrubber.Stats()
 		h.Scrub = &sc
-	}
-	h.Role = s.Role()
-	if s.opt.Coordinator != nil {
-		h.Peers = s.Peers()
-		h.Cluster = s.opt.Coordinator.StatusAll()
 	}
 	return h
 }

@@ -14,15 +14,17 @@ type Series struct {
 
 // RenderChart draws an ASCII line chart of the series over shared x labels,
 // in the spirit of the paper's figures: y is scaled from zero to the
-// maximum point, each series plots with the first rune of its name, and
-// collisions show the later series' marker.
+// maximum point, and each series plots with the first rune of its name.
+// Points of several series that land in one cell draw as '*', and a
+// legend line under the axis names the series behind each '*'.
 //
 //	IPC
 //	 10.9 |                                E
-//	  8.2 |                    E    D
+//	  8.2 |                    E    *
 //	  ...
 //	      +----+----+----+----+----
 //	        4    8   16   32   2k
+//	      * at 16, 8.20: C D
 func RenderChart(yLabel string, xLabels []string, series []Series, height int) string {
 	if height < 2 {
 		height = 2
@@ -48,6 +50,8 @@ func RenderChart(yLabel string, xLabels []string, series []Series, height int) s
 	for r := range grid {
 		grid[r] = []byte(strings.Repeat(" ", cols*colWidth))
 	}
+	type cell struct{ row, col int }
+	owners := map[cell][]string{} // series names plotted in each cell
 	for _, s := range series {
 		marker := byte('?')
 		if len(s.Name) > 0 {
@@ -64,15 +68,21 @@ func RenderChart(yLabel string, xLabels []string, series []Series, height int) s
 			if row > height-1 {
 				row = height - 1
 			}
-			grid[height-1-row][i*colWidth+colWidth/2] = marker
+			c := cell{height - 1 - row, i}
+			owners[c] = append(owners[c], s.Name)
+			m := marker
+			if len(owners[c]) > 1 {
+				m = '*'
+			}
+			grid[c.row][i*colWidth+colWidth/2] = m
 		}
 	}
 
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s\n", yLabel)
+	yVal := func(r int) float64 { return maxVal * float64(height-1-r) / float64(height-1) }
 	for r := 0; r < height; r++ {
-		yVal := maxVal * float64(height-1-r) / float64(height-1)
-		fmt.Fprintf(&b, "%7.2f |%s\n", yVal, strings.TrimRight(string(grid[r]), " "))
+		fmt.Fprintf(&b, "%7.2f |%s\n", yVal(r), strings.TrimRight(string(grid[r]), " "))
 	}
 	b.WriteString("        +" + strings.Repeat(strings.Repeat("-", colWidth-1)+"+", cols) + "\n")
 	b.WriteString("         ")
@@ -89,6 +99,13 @@ func RenderChart(yLabel string, xLabels []string, series []Series, height int) s
 	}
 	if len(legend) > 0 {
 		b.WriteString("        " + strings.Join(legend, "  ") + "\n")
+	}
+	for r := 0; r < height; r++ {
+		for i := 0; i < cols; i++ {
+			if names := owners[cell{r, i}]; len(names) > 1 {
+				fmt.Fprintf(&b, "        * at %s, %.2f: %s\n", xLabels[i], yVal(r), strings.Join(names, " "))
+			}
+		}
 	}
 	return b.String()
 }

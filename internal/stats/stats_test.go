@@ -116,6 +116,29 @@ func TestRenderChart(t *testing.T) {
 	if !strings.Contains(lines[len(lines)-1], "16") {
 		t.Errorf("x labels missing:\n%s", s)
 	}
+
+	// Two series that share cells: neither may hide the other. A shared
+	// cell draws '*' and a legend line names both series under it.
+	s = RenderChart("IPC", []string{"4", "8", "16"}, []Series{
+		{Name: "A", Points: []float64{1, 2, 3}},
+		{Name: "B", Points: []float64{1, 4, 3}},
+	}, 5)
+	want := strings.Join([]string{
+		"IPC",
+		"   4.00 |       B",
+		"   3.00 |            *",
+		"   2.00 |       A",
+		"   1.00 |  *",
+		"   0.00 |",
+		"        +----+----+----+",
+		"           4    8   16  ",
+		"        * at 16, 3.00: A B",
+		"        * at 4, 1.00: A B",
+		"",
+	}, "\n")
+	if s != want {
+		t.Errorf("colliding series rendered as\n%s\nwant\n%s", s, want)
+	}
 }
 
 func TestRenderChartEdgeCases(t *testing.T) {

@@ -1,7 +1,7 @@
 // Package watchdog detects hung operations through progress heartbeats.
 //
 // The experiment pipeline's failure modes fall into two families: loud
-// (errors, panics, cancellation — all handled by the PR-1 taxonomy) and
+// (errors, panics, cancellation — all classified by internal/retry) and
 // silent (a cell that simply stops making progress, wedging a Prefetch
 // worker forever). This package handles the silent family: Run executes an
 // operation on its own goroutine, watches a heartbeat the operation must
@@ -75,10 +75,6 @@ type PanicError struct {
 
 // Error implements error.
 func (e *PanicError) Error() string { return fmt.Sprintf("watchdog: worker panicked: %v", e.Value) }
-
-// Permanent marks panics as never worth retrying: the pipeline is
-// deterministic, so the same input panics the same way again.
-func (e *PanicError) Permanent() bool { return true }
 
 // outcome carries a worker's result through the done channel, so the
 // caller and a possibly-abandoned worker never share memory.

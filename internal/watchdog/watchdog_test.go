@@ -158,7 +158,4 @@ func TestPanicIsIsolatedIntoPanicError(t *testing.T) {
 	if pe.Stack == "" {
 		t.Fatal("panic stack not captured")
 	}
-	if !pe.Permanent() {
-		t.Fatal("panics must classify as permanent (never retried)")
-	}
 }

@@ -4,7 +4,7 @@ package workloads
 // (materialized buffer, disk spool, deterministic regeneration) must be
 // observationally identical — same content hash, and byte-identical
 // simulation results on the oracle grid. Everything above the provider
-// (runner, store keys, cluster cells) relies on this interchangeability.
+// (runner, store keys) relies on this interchangeability.
 
 import (
 	"context"
