@@ -6,9 +6,15 @@
 //	ddrun -timeout 10s prog.mc # bound wall-clock time
 //	ddrun -selfcheck prog.mc   # simulate the trace with invariant sweeps
 //
-// The -selfcheck simulation participates in the durability stack: -store
-// persists its result (keyed by trace content, so a changed program never
-// hits), -resume insists the store already exists, -retries re-attempts
+// The dynamic trace is served by the same ladder as the workload traces
+// (workloads.ProgramProvider): -spool streams it to a file, -max-trace-mem
+// buffers it only while it fits and re-executes past that, and the default
+// holds it in memory.
+//
+// The -selfcheck simulation is one cell of experiments.Runner (RunCell),
+// on the same supervised path as every sweep cell: -store persists its
+// result (keyed by trace content, so a changed program never hits),
+// -resume insists the store already exists, -retries re-attempts
 // transient failures, and -stall-timeout reaps a hung simulation.
 //
 // Exit codes: 0 ok, 1 execution failure, 2 usage, 130 canceled (see
@@ -16,34 +22,29 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
 	"time"
-	"unsafe"
 
-	"repro/internal/asm"
 	"repro/internal/cli"
 	"repro/internal/core"
-	"repro/internal/isa"
-	"repro/internal/minic"
+	"repro/internal/experiments"
 	"repro/internal/perf"
-	"repro/internal/store"
 	"repro/internal/trace"
 	"repro/internal/vm"
+	"repro/internal/workloads"
 )
 
 func main() {
 	var (
-		mixFlag   = flag.Bool("mix", false, "print the instruction-class mix of the dynamic trace")
-		maxSteps  = flag.Int64("maxsteps", 1<<30, "execution step limit")
-		timeout   = flag.Duration("timeout", 0, "bound the run's wall-clock time (0 = none)")
-		selfCheck = flag.Bool("selfcheck", false, "simulate the dynamic trace (config D, width 8) with scheduler invariant sweeps")
-		storeDir  = flag.String("store", "", "persist the -selfcheck result in this directory; later runs resume from it")
-		resume    = flag.Bool("resume", false, "require -store to already exist (catches typos before recomputing a sweep)")
+		mixFlag    = flag.Bool("mix", false, "print the instruction-class mix of the dynamic trace")
+		maxSteps   = flag.Int64("maxsteps", 1<<30, "execution step limit")
+		timeout    = flag.Duration("timeout", 0, "bound the run's wall-clock time (0 = none)")
+		selfCheck  = flag.Bool("selfcheck", false, "simulate the dynamic trace (config D, width 8) with scheduler invariant sweeps")
+		storeDir   = flag.String("store", "", "persist the -selfcheck result in this directory; later runs resume from it")
+		resume     = flag.Bool("resume", false, "require -store to already exist (catches typos before recomputing a sweep)")
 		retries    = flag.Int("retries", 0, "re-attempts after a transient -selfcheck failure")
 		stall      = flag.Duration("stall-timeout", 0, "reap the -selfcheck simulation after this much progress silence (0 = off)")
 		spoolDir   = flag.String("spool", "", "spool the dynamic trace to this directory instead of holding it in memory")
@@ -96,18 +97,7 @@ func run(path string, mixFlag, selfCheck bool, maxSteps int64, timeout time.Dura
 		fmt.Fprintln(os.Stderr, "ddrun: -store only persists -selfcheck results; nothing will be stored")
 	}
 
-	src, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	asmText := string(src)
-	if strings.HasSuffix(path, ".mc") {
-		asmText, err = minic.Compile(string(src))
-		if err != nil {
-			return err
-		}
-	}
-	prog, err := asm.Assemble(asmText)
+	prog, err := workloads.LoadProgram(path)
 	if err != nil {
 		return err
 	}
@@ -115,13 +105,19 @@ func run(path string, mixFlag, selfCheck bool, maxSteps int64, timeout time.Dura
 	needTrace := mixFlag || selfCheck || coll != nil
 	var prov trace.Provider
 	var nrec int64
-	var hash uint64
 	var out []int32
 	timer := perf.Start()
 	if needTrace {
-		prov, out, err = traceProvider(ctx, prog, maxSteps, spoolDir, maxTraceMem, path)
+		spoolPath := ""
+		if spoolDir != "" {
+			// No cross-run reuse: unlike workload spools, the program behind
+			// a path can change between invocations, so every run writes
+			// afresh.
+			spoolPath = filepath.Join(spoolDir, filepath.Base(path)+".trace")
+		}
+		prov, out, err = workloads.ProgramProvider(ctx, prog, maxSteps, spoolPath, maxTraceMem)
 		if err == nil {
-			hash, nrec, err = prov.ContentHash()
+			nrec, err = trace.ProviderRecords(prov)
 		}
 	} else {
 		out, err = vm.Exec(prog, vm.WithMaxSteps(maxSteps), vm.WithContext(ctx))
@@ -151,33 +147,20 @@ func run(path string, mixFlag, selfCheck bool, maxSteps int64, timeout time.Dura
 		fmt.Fprint(os.Stderr, mix.String())
 	}
 	if selfCheck {
-		progress, done := cli.Progress("ddrun")
-		simTimer := perf.Start()
-		opt := cli.SimOptions{
-			Store: st,
-			Key: store.Key{
-				Trace:    hash,
-				Config:   core.ConfigD.Fingerprint(),
-				Width:    8,
-				Scale:    1,
-				Checked:  true,
-				Workload: filepath.Base(path),
-			},
-			Retries:  retries,
-			Stall:    stall,
-			Progress: progress,
+		r := experiments.NewRunner(1).WithPerf(coll)
+		r.SelfCheck = true
+		r.Retries = retries
+		r.StallTimeout = stall
+		if st != nil {
+			r.WithStoreHandle(st)
 		}
-		res, fromStore, err := cli.Simulate(ctx, opt, core.ConfigD,
-			core.Params{Width: 8, SelfCheck: true},
-			func() (trace.Source, error) { return prov.Open() })
+		progress, done := cli.Progress("ddrun")
+		res, fromStore, err := r.RunCell(ctx, filepath.Base(path), 1, prov, core.ConfigD,
+			core.Params{Width: 8, Progress: progress})
 		done()
 		cli.ReportStore("ddrun", st)
 		if err != nil {
 			return fmt.Errorf("self-check failed: %w", err)
-		}
-		if coll != nil && !fromStore {
-			coll.Record(perf.Cell{Workload: filepath.Base(path), Config: core.ConfigD.Name, Width: 8,
-				Instructions: res.Instructions, Seconds: simTimer.Seconds()})
 		}
 		how := ""
 		if fromStore {
@@ -187,60 +170,4 @@ func run(path string, mixFlag, selfCheck bool, maxSteps int64, timeout time.Dura
 			how, res.SelfChecks, res.Instructions)
 	}
 	return nil
-}
-
-// traceProvider executes prog once and returns its dynamic trace as a
-// provider plus the program's output, under the chosen trace-plane
-// strategy: -spool streams records straight to disk (never materialized),
-// -max-trace-mem buffers only while the trace fits and re-executes on
-// demand past it, and the default keeps the classic in-memory buffer.
-func traceProvider(ctx context.Context, prog *isa.Program, maxSteps int64,
-	spoolDir string, maxMem int64, path string) (trace.Provider, []int32, error) {
-	if spoolDir == "" && maxMem <= 0 {
-		buf, out, err := vm.Trace(prog, vm.WithMaxSteps(maxSteps), vm.WithContext(ctx))
-		return buf, out, err
-	}
-	stream := func() (*vm.TraceStream, error) {
-		return vm.StreamTrace(ctx, prog, 0, vm.WithMaxSteps(maxSteps))
-	}
-	ts, err := stream()
-	if err != nil {
-		return nil, nil, err
-	}
-	if spoolDir != "" {
-		// No cross-run reuse: unlike workload spools, the program behind a
-		// path can change between invocations, so every run writes afresh.
-		sp, err := trace.SpoolFrom(filepath.Join(spoolDir, filepath.Base(path)+".trace"), ts)
-		if err != nil {
-			trace.CloseSource(ts)
-			return nil, nil, err
-		}
-		out, _ := ts.Output()
-		return sp, out, nil
-	}
-	maxRecords := maxMem / int64(unsafe.Sizeof(trace.Record{}))
-	hs := trace.NewHasher()
-	buf := &trace.Buffer{}
-	var rec trace.Record
-	for ts.Next(&rec) {
-		hs.WriteRecord(&rec)
-		if buf != nil {
-			if int64(buf.Len()) >= maxRecords {
-				buf = nil
-			} else {
-				buf.Append(rec)
-			}
-		}
-	}
-	if err := ts.Err(); err != nil {
-		return nil, nil, err
-	}
-	out, _ := ts.Output()
-	if buf != nil {
-		return buf, out, nil
-	}
-	prov := trace.NewRegenProviderHashed(func() (trace.ErrSource, error) {
-		return stream()
-	}, hs.Sum64(), hs.Records())
-	return prov, out, nil
 }

@@ -13,6 +13,9 @@
 // Configurations: A base, B +load-speculation, C +collapsing, D both,
 // E collapsing + ideal speculation.
 //
+// Every mode simulates through one experiments.Runner built from the
+// flags below; a single run (-benchmark, -trace) is one Runner.RunCell.
+//
 // Robustness: -timeout bounds the whole invocation, SIGINT/SIGTERM cancel
 // in-flight simulations but keep the experiments already printed, and
 // -selfcheck runs every simulation with scheduler invariant sweeps.
@@ -168,28 +171,31 @@ func list() {
 	}
 }
 
+// runner builds the Runner every simulation mode goes through from the
+// shared flags, attaching the -store directory when one is given (st is
+// nil otherwise).
+func (o robustOpts) runner(ctx context.Context, scale int) (r *experiments.Runner, st *store.Store, err error) {
+	st, err = cli.OpenStore(o.store, o.resume)
+	if err != nil {
+		return nil, nil, err
+	}
+	r = experiments.NewRunner(scale).WithContext(ctx).WithPerf(o.perf).
+		WithTraceSpool(o.traceOpts.SpoolDir).WithMaxTraceMem(o.traceOpts.MaxMem)
+	r.SelfCheck = o.selfCheck
+	r.Retries = o.retries
+	r.StallTimeout = o.stall
+	if st != nil {
+		r.WithStoreHandle(st)
+	}
+	return r, st, nil
+}
+
 func runExperiments(ctx context.Context, id string, scale int, widthsArg string, csv bool, opts robustOpts) error {
-	r := experiments.NewRunner(scale).WithContext(ctx)
-	r.SelfCheck = opts.selfCheck
-	r.Retries = opts.retries
-	r.StallTimeout = opts.stall
-	if opts.traceOpts.SpoolDir != "" {
-		r.WithTraceSpool(opts.traceOpts.SpoolDir)
-	}
-	if opts.traceOpts.MaxMem > 0 {
-		r.WithMaxTraceMem(opts.traceOpts.MaxMem)
-	}
-	if opts.perf != nil {
-		r.WithPerf(opts.perf)
-	}
-	st, err := cli.OpenStore(opts.store, opts.resume)
+	r, st, err := opts.runner(ctx, scale)
 	if err != nil {
 		return err
 	}
-	if st != nil {
-		r.WithStoreHandle(st)
-		defer cli.ReportStore("ddsim", st)
-	}
+	defer cli.ReportStore("ddsim", st)
 	line, done := cli.ProgressLines()
 	defer done()
 	var mu sync.Mutex
@@ -258,62 +264,22 @@ func printReport(rep *experiments.Report, csv bool) {
 }
 
 // runTraceFile simulates a saved binary trace under one configuration.
-// The store key uses the trace's *content* hash, so a renamed file still
-// hits and an edited one cannot.
+// Every attempt re-reads the file, and the content-hash pass is paid only
+// when -store needs the key: the key uses the trace's *content* hash, so a
+// renamed file still hits and an edited one cannot.
 func runTraceFile(ctx context.Context, path, config string, width, window int, opts robustOpts) error {
 	cfg, err := core.ConfigByName(config)
 	if err != nil {
 		return cli.Usagef("%v", err)
 	}
-	st, err := cli.OpenStore(opts.store, opts.resume)
+	r, st, err := opts.runner(ctx, 0)
 	if err != nil {
 		return err
 	}
-	open := func() (trace.Source, error) {
-		f, err := os.Open(path)
-		if err != nil {
-			return nil, err
-		}
-		r, err := trace.NewReader(f)
-		if err != nil {
-			f.Close()
-			return nil, err
-		}
-		return r, nil
-	}
-	var key store.Key
-	if st != nil {
-		f, err := os.Open(path)
-		if err != nil {
-			return err
-		}
-		r, err := trace.NewReader(f)
-		if err != nil {
-			f.Close()
-			return err
-		}
-		hash, _, err := trace.ContentHash(r)
-		f.Close()
-		if err != nil {
-			return err
-		}
-		key = store.Key{Trace: hash, Config: cfg.Fingerprint(), Width: width,
-			Scale: 1, Window: window, Checked: opts.selfCheck,
-			Workload: filepath.Base(path)}
-	}
-	progress, done := cli.Progress("ddsim")
-	timer := perf.Start()
-	res, fromStore, err := cli.Simulate(ctx, cli.SimOptions{
-		Store: st, Key: key, Retries: opts.retries, Stall: opts.stall, Progress: progress,
-	}, cfg, core.Params{Width: width, WindowSize: window, SelfCheck: opts.selfCheck}, open)
-	done()
-	cli.ReportStore("ddsim", st)
+	prov := trace.NewRegenProvider(func() (trace.ErrSource, error) { return trace.OpenFile(path) })
+	res, err := runCell(r, st, filepath.Base(path), 1, prov, cfg, width, window)
 	if err != nil {
 		return err
-	}
-	if opts.perf != nil && !fromStore {
-		opts.perf.Record(perf.Cell{Workload: filepath.Base(path), Config: cfg.Name, Width: width,
-			Instructions: res.Instructions, Seconds: timer.Seconds()})
 	}
 	fmt.Printf("trace        %s\n", path)
 	printResult(cfg, res, opts.selfCheck)
@@ -329,7 +295,7 @@ func runSingle(ctx context.Context, benchmark, config string, width, window, sca
 	if err != nil {
 		return cli.Usagef("%v", err)
 	}
-	st, err := cli.OpenStore(opts.store, opts.resume)
+	r, st, err := opts.runner(ctx, scale)
 	if err != nil {
 		return err
 	}
@@ -337,38 +303,27 @@ func runSingle(ctx context.Context, benchmark, config string, width, window, sca
 	if err != nil {
 		return err
 	}
-	var key store.Key
-	if st != nil {
-		hash, _, herr := prov.ContentHash()
-		if herr != nil {
-			return herr
-		}
-		effScale := scale
-		if effScale <= 0 {
-			effScale = w.DefaultScale
-		}
-		key = store.Key{Trace: hash, Config: cfg.Fingerprint(), Width: width,
-			Scale: effScale, Window: window, Checked: opts.selfCheck, Workload: w.Name}
+	if scale <= 0 {
+		scale = w.DefaultScale
 	}
-	progress, done := cli.Progress("ddsim")
-	timer := perf.Start()
-	res, fromStore, err := cli.Simulate(ctx, cli.SimOptions{
-		Store: st, Key: key, Retries: opts.retries, Stall: opts.stall, Progress: progress,
-	}, cfg, core.Params{Width: width, WindowSize: window, SelfCheck: opts.selfCheck},
-		func() (trace.Source, error) { return prov.Open() })
-	done()
-	cli.ReportStore("ddsim", st)
+	res, err := runCell(r, st, w.Name, scale, prov, cfg, width, window)
 	if err != nil {
 		return err
 	}
-	if opts.perf != nil && !fromStore {
-		opts.perf.Record(perf.Cell{Workload: w.Name, Config: cfg.Name, Width: width,
-			Instructions: res.Instructions, Seconds: timer.Seconds()})
-	}
-
 	fmt.Printf("benchmark    %s (%s)\n", w.Name, w.Description)
 	printResult(cfg, res, opts.selfCheck)
 	return nil
+}
+
+// runCell runs one single-run cell through the Runner with a progress
+// heartbeat on stderr, then prints the store summary.
+func runCell(r *experiments.Runner, st *store.Store, label string, scale int, prov trace.Provider, cfg core.Config, width, window int) (*core.Result, error) {
+	progress, done := cli.Progress("ddsim")
+	res, _, err := r.RunCell(r.Context(), label, scale, prov, cfg,
+		core.Params{Width: width, WindowSize: window, Progress: progress})
+	done()
+	cli.ReportStore("ddsim", st)
+	return res, err
 }
 
 func printResult(cfg core.Config, res *core.Result, selfCheck bool) {

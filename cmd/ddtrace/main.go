@@ -29,12 +29,9 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
 
-	"repro/internal/asm"
 	"repro/internal/cli"
 	"repro/internal/core"
-	"repro/internal/minic"
 	"repro/internal/trace"
 	"repro/internal/vm"
 	"repro/internal/workloads"
@@ -78,17 +75,7 @@ func openSource(ctx context.Context, benchmark, program string, scale int) (trac
 		}
 		return w.Stream(ctx, scale)
 	}
-	text, err := os.ReadFile(program)
-	if err != nil {
-		return nil, err
-	}
-	asmText := string(text)
-	if strings.HasSuffix(program, ".mc") {
-		if asmText, err = minic.Compile(string(text)); err != nil {
-			return nil, err
-		}
-	}
-	prog, err := asm.Assemble(asmText)
+	prog, err := workloads.LoadProgram(program)
 	if err != nil {
 		return nil, err
 	}

@@ -1,13 +1,11 @@
 package cli
 
-// This file holds the durability and supervision plumbing shared by the
-// CLIs: opening the result store behind -store/-resume, printing its
-// hit/miss summary, rendering progress heartbeats, and running one
-// supervised simulation (store lookup, bounded retry, stall watchdog) for
-// the single-run paths.
+// This file holds the durability plumbing shared by the CLIs: opening the
+// result store behind -store/-resume, printing its hit/miss summary, and
+// rendering progress heartbeats. Supervised simulation itself (store
+// lookup, bounded retry, stall watchdog) lives in experiments.Runner.
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"os"
@@ -16,16 +14,8 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/retry"
 	"repro/internal/store"
-	"repro/internal/trace"
-	"repro/internal/watchdog"
 )
-
-// progressEvery is the heartbeat interval used when stall supervision is
-// armed without an explicit Params.ProgressEvery: fine enough that even a
-// slow cell beats many times per stall window.
-const progressEvery = 1024
 
 // OpenStore opens the durable result store behind the -store/-resume
 // flags. An empty dir with resume unset means "no store" (nil, nil);
@@ -146,73 +136,4 @@ func linesTo(w io.Writer, tty bool, now func() time.Time) (line func(string), do
 func stderrIsTTY() bool {
 	fi, err := os.Stderr.Stat()
 	return err == nil && fi.Mode()&os.ModeCharDevice != 0
-}
-
-// SimOptions configures one supervised simulation.
-type SimOptions struct {
-	Store      *store.Store        // nil = no durability
-	Key        store.Key           // identity under which the result persists
-	Retries    int                 // transient re-attempts after the first failure
-	RetryDelay time.Duration       // base backoff; 0 = retry default
-	Stall      time.Duration       // reap the run after this much heartbeat silence; 0 = off
-	Progress   func(core.Progress) // optional progress printer (see Progress)
-}
-
-// Simulate runs one simulation under the full robustness stack: the store
-// is consulted first (a hit skips simulation entirely), then RunChecked
-// runs under bounded retry and the stall watchdog, and a fresh success is
-// persisted best-effort. src must return a fresh trace.Source per call —
-// each retry attempt re-reads the trace from the start. fromStore reports
-// whether the result was served from the store; failures carry their
-// attempt count when more than one attempt was made.
-func Simulate(ctx context.Context, opt SimOptions, cfg core.Config, params core.Params, src func() (trace.Source, error)) (res *core.Result, fromStore bool, err error) {
-	if opt.Store != nil {
-		if got, gerr := opt.Store.Get(opt.Key); gerr == nil {
-			return got, true, nil
-		}
-		// Any miss — absent, corrupt, version-mismatched — recomputes.
-	}
-	policy := retry.Policy{MaxAttempts: opt.Retries + 1, BaseDelay: opt.RetryDelay}
-	attempts, err := retry.Do(ctx, policy, func(int) error {
-		res = nil
-		s, serr := src()
-		if serr != nil {
-			return serr
-		}
-		// Sources from trace providers may hold a file or a live generation
-		// goroutine; release it even when the simulation aborts mid-stream.
-		defer trace.CloseSource(s)
-		got, rerr := watchdog.Run(ctx, opt.Stall, func(wctx context.Context, beat func()) (*core.Result, error) {
-			p := params
-			user := opt.Progress
-			if opt.Stall > 0 || user != nil {
-				p.Progress = func(pr core.Progress) {
-					beat()
-					if user != nil {
-						user(pr)
-					}
-				}
-				if opt.Stall > 0 && p.ProgressEvery == 0 {
-					p.ProgressEvery = progressEvery
-				}
-			}
-			return core.RunChecked(wctx, s, cfg, p)
-		})
-		if rerr != nil {
-			return rerr
-		}
-		res = got
-		return nil
-	})
-	if err != nil {
-		if attempts > 1 {
-			err = fmt.Errorf("%w (%d attempts)", err, attempts)
-		}
-		return nil, false, err
-	}
-	if opt.Store != nil {
-		// Best-effort: a failed write costs durability, never the result.
-		_ = opt.Store.Put(opt.Key, res)
-	}
-	return res, false, nil
 }

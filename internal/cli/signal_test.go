@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/experiments"
-	"repro/internal/trace"
 	"repro/internal/workloads"
 )
 
@@ -59,13 +58,12 @@ func TestSIGTERMMidSimulationExitsCanceled(t *testing.T) {
 
 	var beats atomic.Int64
 	var once sync.Once
-	opt := SimOptions{Progress: func(core.Progress) {
+	progress := func(core.Progress) {
 		beats.Add(1)
 		once.Do(func() { _ = syscall.Kill(os.Getpid(), syscall.SIGTERM) })
-	}}
-	_, fromStore, err := Simulate(ctx, opt, core.ConfigA,
-		core.Params{Width: 4, ProgressEvery: 512},
-		func() (trace.Source, error) { return buf.Reader(), nil })
+	}
+	_, fromStore, err := experiments.NewRunner(0).RunCell(ctx, w.Name, w.DefaultScale, buf, core.ConfigA,
+		core.Params{Width: 4, ProgressEvery: 512, Progress: progress})
 	if fromStore {
 		t.Fatal("no store attached, yet result claimed from store")
 	}

@@ -44,7 +44,8 @@ const stallHeartbeatEvery = 1024
 // experiments sharing runs (all the figures share the A-E sweep) pay for
 // them once. Failures are cached alongside results: a failed cell fails
 // fast on re-query instead of re-running, and its error degrades the
-// reports that need it.
+// reports that need it. RunCell sends a single cell over a caller's trace
+// (the CLIs' single runs) down the same supervised path, uncached.
 //
 // Optional robustness layers, all off by default:
 //
@@ -332,7 +333,8 @@ func (r *Runner) ResultCtx(ctx context.Context, w *workloads.Workload, cfg core.
 	}
 	r.mu.Unlock()
 
-	res, attempts, err := r.compute(ctx, w, cfg, width)
+	res, _, attempts, err := r.compute(ctx, cell{w: w, label: w.Name, scale: r.scaleFor(w), cfg: cfg,
+		params: core.Params{Width: width, SelfCheck: r.SelfCheck}})
 	if r.metrics != nil && attempts > 1 {
 		r.metrics.retries.Add(int64(attempts - 1))
 	}
@@ -348,9 +350,6 @@ func (r *Runner) ResultCtx(ctx context.Context, w *workloads.Workload, cfg core.
 			r.metrics.failed.Inc()
 		}
 		err = fmt.Errorf("experiments: %s/config %s/width %d: %w", w.Name, cfg.Name, width, err)
-		if attempts > 1 {
-			err = fmt.Errorf("%w (%d attempts)", err, attempts)
-		}
 	}
 
 	r.mu.Lock()
@@ -362,13 +361,41 @@ func (r *Runner) ResultCtx(ctx context.Context, w *workloads.Workload, cfg core.
 	return res, err
 }
 
+// RunCell runs one cell over a caller's trace — a program file, a saved
+// trace, a workload at a custom window — on the same supervised path as
+// ResultCtx: store lookup, simulation under retry, the stall watchdog and
+// CellTimeout, then perf and store recording. label and scale name the
+// cell in its store key and perf record; p supplies the width, window and
+// an optional progress hook, while the Runner's SelfCheck decides
+// p.SelfCheck. Each attempt opens a fresh stream from prov. Nothing is
+// cached in memory; fromStore reports a store hit.
+func (r *Runner) RunCell(ctx context.Context, label string, scale int, prov trace.Provider, cfg core.Config, p core.Params) (res *core.Result, fromStore bool, err error) {
+	p.SelfCheck = r.SelfCheck
+	res, fromStore, _, err = r.compute(ctx, cell{prov: prov, label: label, scale: scale, cfg: cfg, params: p})
+	return res, fromStore, err
+}
+
+// cell is one unit of compute's work: a registry workload (w set: its
+// provider and trace hash are memoized per Runner) or a caller's trace
+// (prov set). label names it in store keys and perf records.
+type cell struct {
+	w      *workloads.Workload
+	prov   trace.Provider
+	label  string
+	scale  int
+	cfg    core.Config
+	params core.Params
+}
+
 // compute resolves one cell: store lookup first (when a store is attached),
-// then simulation under retry and stall supervision. It reports how many
-// attempts the retry loop made so failures can carry their attempt count.
-func (r *Runner) compute(ctx context.Context, w *workloads.Workload, cfg core.Config, width int) (res *core.Result, attempts int, err error) {
+// then simulation under retry and stall supervision. It reports whether the
+// store served the result and how many attempts the retry loop made; a
+// failure other than cancellation carries its attempt count when there was
+// more than one.
+func (r *Runner) compute(ctx context.Context, c cell) (res *core.Result, fromStore bool, attempts int, err error) {
 	policy := retry.Policy{MaxAttempts: r.Retries + 1, BaseDelay: r.RetryDelay}
 	attempts, err = retry.Do(ctx, policy, func(attempt int) error {
-		res = nil
+		res, fromStore = nil, false
 		actx, aspan := metrics.StartSpan(ctx, "attempt")
 		if aspan != nil {
 			aspan.Annotate("n", strconv.Itoa(attempt))
@@ -379,16 +406,20 @@ func (r *Runner) compute(ctx context.Context, w *workloads.Workload, cfg core.Co
 				return ferr
 			}
 		}
-		_, tspan := metrics.StartSpan(actx, "trace-gen")
-		prov, terr := r.provider(actx, w)
-		tspan.End()
-		if terr != nil {
-			return terr
+		prov := c.prov
+		if c.w != nil {
+			_, tspan := metrics.StartSpan(actx, "trace-gen")
+			var terr error
+			prov, terr = r.provider(actx, c.w)
+			tspan.End()
+			if terr != nil {
+				return terr
+			}
 		}
 		var key store.Key
 		if r.store != nil {
 			kerr := error(nil)
-			key, kerr = r.storeKey(w, cfg, width, prov)
+			key, kerr = r.storeKey(c, prov)
 			if kerr != nil {
 				return kerr
 			}
@@ -400,7 +431,7 @@ func (r *Runner) compute(ctx context.Context, w *workloads.Workload, cfg core.Co
 				if r.metrics != nil {
 					r.metrics.storeHits.Inc()
 				}
-				res = got
+				res, fromStore = got, true
 				return nil
 			}
 			// Any store miss — absent, corrupt, version-mismatched —
@@ -414,22 +445,32 @@ func (r *Runner) compute(ctx context.Context, w *workloads.Workload, cfg core.Co
 		}
 		runCtx, sspan := metrics.StartSpan(runCtx, "simulate")
 		got, rerr := watchdog.Run(runCtx, r.StallTimeout, func(wctx context.Context, beat func()) (*core.Result, error) {
-			p := core.Params{Width: width, SelfCheck: r.SelfCheck}
+			p := c.params
 			if r.StallTimeout > 0 {
-				p.Progress = func(core.Progress) { beat() }
-				p.ProgressEvery = stallHeartbeatEvery
+				user := p.Progress
+				p.Progress = func(pr core.Progress) {
+					beat()
+					if user != nil {
+						user(pr)
+					}
+				}
+				if p.ProgressEvery == 0 {
+					p.ProgressEvery = stallHeartbeatEvery
+				}
 			}
 			// A fresh open per attempt: providers replay from the start
 			// (re-reading a spool, re-running the VM), so a retry never
-			// resumes a half-consumed stream. Closing releases whatever
-			// the open holds (a file, a generation goroutine) even when
-			// the simulation aborts mid-stream.
+			// resumes a half-consumed stream. The source is opened and
+			// closed on this goroutine, so a worker the watchdog abandons
+			// mid-Next is never closed under its feet; closing releases
+			// whatever the open holds (a file, a generation goroutine)
+			// even when the simulation aborts mid-stream.
 			src, oerr := prov.Open()
 			if oerr != nil {
 				return nil, oerr
 			}
 			defer trace.CloseSource(src)
-			return core.RunChecked(wctx, src, cfg, p)
+			return core.RunChecked(wctx, src, c.cfg, p)
 		})
 		sspan.End()
 		cancelCell()
@@ -444,27 +485,30 @@ func (r *Runner) compute(ctx context.Context, w *workloads.Workload, cfg core.Co
 			return rerr
 		}
 		res = got
-		cell := perf.Cell{Workload: w.Name, Config: cfg.Name, Width: width,
+		pc := perf.Cell{Workload: c.label, Config: c.cfg.Name, Width: c.params.Width,
 			Instructions: got.Instructions, Seconds: timer.Seconds()}
 		aspan.Annotate("outcome", "computed")
 		if r.metrics != nil {
 			r.metrics.computed.Inc()
-			r.metrics.cellSeconds.Observe(cell.Seconds)
+			r.metrics.cellSeconds.Observe(pc.Seconds)
 		}
 		if r.perf != nil {
-			r.perf.Record(cell)
+			r.perf.Record(pc)
 		}
 		if r.store != nil {
 			// Best-effort persistence: a failed write costs durability,
 			// never the result. The store counts it in Stats.WriteErrors.
 			_, pspan := metrics.StartSpan(actx, "store.put")
 			_ = r.store.PutWithPerf(key, got,
-				&store.PerfInfo{Seconds: cell.Seconds, MInstrPerSec: cell.MInstrPerSec()})
+				&store.PerfInfo{Seconds: pc.Seconds, MInstrPerSec: pc.MInstrPerSec()})
 			pspan.End()
 		}
 		return nil
 	})
-	return res, attempts, err
+	if attempts > 1 && err != nil && !canceled(err) {
+		err = fmt.Errorf("%w (%d attempts)", err, attempts)
+	}
+	return res, fromStore, attempts, err
 }
 
 // scaleFor normalizes the Runner's 0 = workload-default scale convention.
@@ -477,28 +521,34 @@ func (r *Runner) scaleFor(w *workloads.Workload) int {
 
 // storeKey builds the durable identity of one cell: the trace *content*
 // hash (not its name), the injective config fingerprint, and the run
-// shape. Workload name and scale ride along for human-readable filenames.
-func (r *Runner) storeKey(w *workloads.Workload, cfg core.Config, width int, prov trace.Provider) (store.Key, error) {
-	h, err := r.traceHash(w, prov)
+// shape. The label and scale ride along for human-readable filenames.
+func (r *Runner) storeKey(c cell, prov trace.Provider) (store.Key, error) {
+	h, err := r.traceHash(c.w, prov)
 	if err != nil {
 		return store.Key{}, err
 	}
 	return store.Key{
 		Trace:    h,
-		Config:   cfg.Fingerprint(),
-		Width:    width,
-		Scale:    r.scaleFor(w),
-		Checked:  r.SelfCheck,
-		Workload: w.Name,
+		Config:   c.cfg.Fingerprint(),
+		Width:    c.params.Width,
+		Scale:    c.scale,
+		Window:   c.params.WindowSize,
+		Checked:  c.params.SelfCheck,
+		Workload: c.label,
 	}, nil
 }
 
-// traceHash memoizes each workload's trace content hash (spool and
-// regeneration providers know theirs for free, but hashing a materialized
-// Buffer costs one linear scan and the sweep asks per cell). Hashing
-// happens outside the lock so parallel workers don't serialize on it; a
-// rare duplicate computation is benign because the hash is deterministic.
+// traceHash memoizes each registry workload's trace content hash (spool
+// and regeneration providers know theirs for free, but hashing a
+// materialized Buffer costs one linear scan and the sweep asks per cell).
+// A caller's trace (w nil) is hashed by its provider. Hashing happens
+// outside the lock so parallel workers don't serialize on it; a rare
+// duplicate computation is benign because the hash is deterministic.
 func (r *Runner) traceHash(w *workloads.Workload, prov trace.Provider) (uint64, error) {
+	if w == nil {
+		h, _, err := prov.ContentHash()
+		return h, err
+	}
 	r.mu.Lock()
 	if h, ok := r.hashes[w.Name]; ok {
 		r.mu.Unlock()

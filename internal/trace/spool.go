@@ -40,27 +40,39 @@ func (s *Spool) ContentHash() (uint64, int64, error) { return s.hash, s.n, nil }
 // closes the file when it ends (cleanly or on error); abandon it early
 // with CloseSource.
 func (s *Spool) Open() (ErrSource, error) {
-	f, err := os.Open(s.path)
+	src, err := OpenFile(s.path)
 	if err != nil {
-		return nil, fmt.Errorf("trace: opening spool: %w", err)
+		return nil, fmt.Errorf("trace: spool %s: %w", s.path, err)
+	}
+	return src, nil
+}
+
+// OpenFile streams the binary trace file at path. The stream closes the
+// file when it ends (cleanly or on error); abandon it early with
+// CloseSource. Header corruption fails the open; record corruption
+// surfaces through Err.
+func OpenFile(path string) (ErrSource, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
 	}
 	r, err := NewReader(f)
 	if err != nil {
 		f.Close()
-		return nil, fmt.Errorf("trace: spool %s: %w", s.path, err)
+		return nil, err
 	}
-	return &spoolSource{f: f, r: r}, nil
+	return &fileSource{f: f, r: r}, nil
 }
 
-// spoolSource streams one open of a spool file, closing the file when the
+// fileSource streams one open of a trace file, closing the file when the
 // stream ends so fully consumed opens never leak a descriptor.
-type spoolSource struct {
+type fileSource struct {
 	f      *os.File
 	r      *Reader
 	closed bool
 }
 
-func (s *spoolSource) Next(rec *Record) bool {
+func (s *fileSource) Next(rec *Record) bool {
 	if s.closed {
 		return false
 	}
@@ -71,10 +83,10 @@ func (s *spoolSource) Next(rec *Record) bool {
 	return false
 }
 
-func (s *spoolSource) Err() error { return s.r.Err() }
+func (s *fileSource) Err() error { return s.r.Err() }
 
 // Close releases the file; safe to call multiple times.
-func (s *spoolSource) Close() error {
+func (s *fileSource) Close() error {
 	if s.closed {
 		return nil
 	}
@@ -186,16 +198,12 @@ func SpoolFrom(path string, src Source) (*Spool, error) {
 // corruption (truncation, bit flips, trailing bytes) fails the open — a
 // reused spool is as trustworthy as a fresh one.
 func OpenSpool(path string) (*Spool, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	r, err := NewReader(f)
+	src, err := OpenFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("trace: spool %s: %w", path, err)
 	}
-	h, n, err := ContentHash(r)
+	defer CloseSource(src)
+	h, n, err := ContentHash(src)
 	if err != nil {
 		return nil, fmt.Errorf("trace: validating spool %s: %w", path, err)
 	}

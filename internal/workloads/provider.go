@@ -16,15 +16,21 @@ package workloads
 //
 // All three strategies yield Providers with equal ContentHash for the same
 // (workload, scale), so results — and the store keys deriving from the
-// hash — are interchangeable across them.
+// hash — are interchangeable across them. ProgramProvider is the ladder
+// itself, over any assembled program; ddrun serves its traces through it.
 
 import (
 	"context"
 	"fmt"
+	"os"
 	"path/filepath"
+	"strings"
 	"unsafe"
 
+	"repro/internal/asm"
 	"repro/internal/faultinject"
+	"repro/internal/isa"
+	"repro/internal/minic"
 	"repro/internal/trace"
 	"repro/internal/vm"
 )
@@ -32,6 +38,9 @@ import (
 // recordMemBytes is the in-memory footprint of one buffered trace record,
 // the unit MaxMem budgets are measured in.
 const recordMemBytes = int64(unsafe.Sizeof(trace.Record{}))
+
+// maxSteps bounds every workload execution.
+const maxSteps = 1 << 31
 
 // ProviderOptions selects the trace-plane strategy (see the file comment).
 // The zero value reproduces the materialized-Buffer behavior exactly.
@@ -47,88 +56,76 @@ type ProviderOptions struct {
 	MaxMem int64
 }
 
-// Stream builds the workload and starts a live generation stream: records
-// arrive as the VM executes them, through a bounded pipe. The stream must
-// be consumed (or Closed) to release the VM goroutine.
-func (w *Workload) Stream(ctx context.Context, scale int) (*vm.TraceStream, error) {
-	if faultinject.Enabled() {
-		if err := faultinject.Check(faultinject.PointTraceGen); err != nil {
-			return nil, fmt.Errorf("workloads: generating %s trace: %w", w.Name, err)
-		}
-	}
-	prog, err := w.Build(scale)
+// LoadProgram reads a MiniC (.mc) or SV8 assembly (any other suffix) file
+// and assembles it, compiling MiniC first.
+func LoadProgram(path string) (*isa.Program, error) {
+	src, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	ts, err := vm.StreamTrace(ctx, prog, 0, vm.WithMaxSteps(1<<31))
-	if err != nil {
-		return nil, fmt.Errorf("workloads: running %s: %w", w.Name, err)
-	}
-	return ts, nil
-}
-
-// Provider returns a trace Provider for the workload at the given scale
-// (0 = DefaultScale) under the chosen strategy. ctx bounds generation —
-// both the eager first pass and, for the regeneration strategy, every
-// later re-run an Open triggers.
-func (w *Workload) Provider(ctx context.Context, scale int, opt ProviderOptions) (trace.Provider, error) {
-	if scale <= 0 {
-		scale = w.DefaultScale
-	}
-	switch {
-	case opt.SpoolDir != "":
-		return w.spoolProvider(ctx, scale, opt.SpoolDir)
-	case opt.MaxMem > 0:
-		return w.budgetedProvider(ctx, scale, opt.MaxMem)
-	default:
-		buf, _, err := w.TraceCachedCtx(ctx, scale)
-		if err != nil {
+	asmText := string(src)
+	if strings.HasSuffix(path, ".mc") {
+		if asmText, err = minic.Compile(asmText); err != nil {
 			return nil, err
 		}
-		return buf, nil
 	}
+	return asm.Assemble(asmText)
 }
 
-// SpoolPath reports where Provider spools this workload's trace at the
-// given scale (0 = DefaultScale) under dir.
-func (w *Workload) SpoolPath(dir string, scale int) string {
-	if scale <= 0 {
-		scale = w.DefaultScale
+// checkGen is the PointTraceGen fault point every generation run passes,
+// so tests can fail the first pass and each regeneration alike.
+func checkGen() error {
+	if faultinject.Enabled() {
+		return faultinject.Check(faultinject.PointTraceGen)
 	}
-	return filepath.Join(dir, fmt.Sprintf("%s-%d.trace", w.Name, scale))
+	return nil
 }
 
-// spoolProvider reuses a complete spool if one exists (validated by its
-// record checksums) and otherwise generates one in a single streaming
-// pass, hash folded inline — the trace never exists in memory.
-func (w *Workload) spoolProvider(ctx context.Context, scale int, dir string) (trace.Provider, error) {
-	path := w.SpoolPath(dir, scale)
-	if sp, err := trace.OpenSpool(path); err == nil {
-		return sp, nil
-	}
-	// Missing, truncated, or corrupt: regenerate. The commit rename
-	// atomically replaces whatever was there.
-	ts, err := w.Stream(ctx, scale)
-	if err != nil {
+// stream starts one generation run of prog as a live trace stream.
+func stream(ctx context.Context, prog *isa.Program, steps int64) (*vm.TraceStream, error) {
+	if err := checkGen(); err != nil {
 		return nil, err
 	}
-	sp, err := trace.SpoolFrom(path, ts)
-	if err != nil {
-		trace.CloseSource(ts)
-		return nil, fmt.Errorf("workloads: spooling %s: %w", w.Name, err)
-	}
-	return sp, nil
+	return vm.StreamTrace(ctx, prog, 0, vm.WithMaxSteps(steps))
 }
 
-// budgetedProvider generates once, keeping the buffer only while it fits
-// maxMem; an over-budget trace finishes the pass hash-only and is served
-// by regeneration from then on.
-func (w *Workload) budgetedProvider(ctx context.Context, scale int, maxMem int64) (trace.Provider, error) {
+// traceBuffer executes prog once, materializing its whole trace.
+func traceBuffer(ctx context.Context, prog *isa.Program, steps int64) (*trace.Buffer, []int32, error) {
+	if err := checkGen(); err != nil {
+		return nil, nil, err
+	}
+	return vm.Trace(prog, vm.WithMaxSteps(steps), vm.WithContext(ctx))
+}
+
+// ProgramProvider executes prog once (at most steps instructions) and
+// returns its dynamic trace as a Provider, plus the program's output. The
+// strategy is the file comment's ladder: spoolPath set streams the trace
+// into a spool file written afresh at that path; otherwise maxMem > 0
+// buffers while the trace fits and serves an over-budget one by
+// regeneration; otherwise the trace is materialized in a Buffer. ctx
+// bounds the first pass and every regeneration an Open triggers.
+func ProgramProvider(ctx context.Context, prog *isa.Program, steps int64, spoolPath string, maxMem int64) (trace.Provider, []int32, error) {
+	if spoolPath == "" && maxMem <= 0 {
+		buf, out, err := traceBuffer(ctx, prog, steps)
+		if err != nil {
+			return nil, nil, err
+		}
+		return buf, out, nil
+	}
+	ts, err := stream(ctx, prog, steps)
+	if err != nil {
+		return nil, nil, err
+	}
+	if spoolPath != "" {
+		sp, err := trace.SpoolFrom(spoolPath, ts)
+		if err != nil {
+			trace.CloseSource(ts)
+			return nil, nil, err
+		}
+		out, _ := ts.Output()
+		return sp, out, nil
+	}
 	maxRecords := maxMem / recordMemBytes
-	ts, err := w.Stream(ctx, scale)
-	if err != nil {
-		return nil, err
-	}
 	hs := trace.NewHasher()
 	buf := &trace.Buffer{}
 	var rec trace.Record
@@ -143,12 +140,64 @@ func (w *Workload) budgetedProvider(ctx context.Context, scale int, maxMem int64
 		}
 	}
 	if err := ts.Err(); err != nil {
-		return nil, fmt.Errorf("workloads: generating %s trace: %w", w.Name, err)
+		return nil, nil, err
 	}
+	out, _ := ts.Output()
 	if buf != nil {
-		return buf, nil
+		return buf, out, nil
 	}
 	return trace.NewRegenProviderHashed(func() (trace.ErrSource, error) {
-		return w.Stream(ctx, scale)
-	}, hs.Sum64(), hs.Records()), nil
+		return stream(ctx, prog, steps)
+	}, hs.Sum64(), hs.Records()), out, nil
+}
+
+// Stream builds the workload and starts a live generation stream: records
+// arrive as the VM executes them, through a bounded pipe. The stream must
+// be consumed (or Closed) to release the VM goroutine.
+func (w *Workload) Stream(ctx context.Context, scale int) (*vm.TraceStream, error) {
+	prog, err := w.Build(scale)
+	if err != nil {
+		return nil, err
+	}
+	ts, err := stream(ctx, prog, maxSteps)
+	if err != nil {
+		return nil, fmt.Errorf("workloads: generating %s trace: %w", w.Name, err)
+	}
+	return ts, nil
+}
+
+// Provider returns a trace Provider for the workload at the given scale
+// (0 = DefaultScale) under the chosen strategy. ctx bounds generation —
+// both the eager first pass and, for the regeneration strategy, every
+// later re-run an Open triggers.
+func (w *Workload) Provider(ctx context.Context, scale int, opt ProviderOptions) (trace.Provider, error) {
+	if scale <= 0 {
+		scale = w.DefaultScale
+	}
+	spoolPath := ""
+	switch {
+	case opt.SpoolDir != "":
+		// Reuse a complete spool from an earlier run (validated by its
+		// record checksums). A missing, truncated or corrupt one is
+		// regenerated; the commit rename atomically replaces it.
+		spoolPath = filepath.Join(opt.SpoolDir, fmt.Sprintf("%s-%d.trace", w.Name, scale))
+		if sp, err := trace.OpenSpool(spoolPath); err == nil {
+			return sp, nil
+		}
+	case opt.MaxMem <= 0:
+		buf, _, err := w.TraceCachedCtx(ctx, scale)
+		if err != nil {
+			return nil, err
+		}
+		return buf, nil
+	}
+	prog, err := w.Build(scale)
+	if err != nil {
+		return nil, err
+	}
+	prov, _, err := ProgramProvider(ctx, prog, maxSteps, spoolPath, opt.MaxMem)
+	if err != nil {
+		return nil, fmt.Errorf("workloads: generating %s trace: %w", w.Name, err)
+	}
+	return prov, nil
 }

@@ -27,11 +27,9 @@ import (
 	"sync"
 
 	"repro/internal/asm"
-	"repro/internal/faultinject"
 	"repro/internal/isa"
 	"repro/internal/minic"
 	"repro/internal/trace"
-	"repro/internal/vm"
 )
 
 // Workload is one benchmark program.
@@ -115,18 +113,13 @@ func (w *Workload) Run(scale int) (*trace.Buffer, []int32, error) {
 // RunCtx is Run with cancellation: the emulator polls ctx while executing,
 // so multi-hundred-million instruction traces stay interruptible.
 func (w *Workload) RunCtx(ctx context.Context, scale int) (*trace.Buffer, []int32, error) {
-	if faultinject.Enabled() {
-		if err := faultinject.Check(faultinject.PointTraceGen); err != nil {
-			return nil, nil, fmt.Errorf("workloads: generating %s trace: %w", w.Name, err)
-		}
-	}
 	prog, err := w.Build(scale)
 	if err != nil {
 		return nil, nil, err
 	}
-	buf, out, err := vm.Trace(prog, vm.WithMaxSteps(1<<31), vm.WithContext(ctx))
+	buf, out, err := traceBuffer(ctx, prog, maxSteps)
 	if err != nil {
-		return nil, nil, fmt.Errorf("workloads: running %s: %w", w.Name, err)
+		return nil, nil, fmt.Errorf("workloads: generating %s trace: %w", w.Name, err)
 	}
 	return buf, out, nil
 }
