@@ -7,7 +7,7 @@
 //	ddbench -out BENCH_pr.json \
 //	        -baseline bench/BENCH_baseline.json      # measure + gate
 //
-// Four benchmarks cover the performance surfaces the scheduler rewrite and
+// Six benchmarks cover the performance surfaces the scheduler rewrite and
 // the streaming trace plane locked in (see docs/performance.md):
 //
 //   - table1: the cold Table 1 pipeline — flush the trace cache, compile,
@@ -16,11 +16,17 @@
 //   - sched/espresso/D/w8: warm scheduling of the espresso trace under the
 //     densest configuration. Guards the issue ring, signature interning,
 //     and the iterative group chooser; carries the allocs/op gate.
+//   - sched/espresso/D/w2048: the same trace at the paper's "2k" width,
+//     where the window holds 4096 instructions. Guards the window bucket
+//     queue, whose cost a narrow window hides.
 //   - core_visit/short: scheduling of a short trace, isolating per-run
 //     setup + the visit loop from experiment plumbing.
 //   - trace_pipeline: the streaming first pass — VM execution feeding the
 //     scheduler through the bounded pipe, nothing materialized. Guards the
 //     producer/consumer overlap the trace plane's memory bound depends on.
+//   - sweep_all: the run users make — every registry experiment, cold
+//     traces included, from one Runner with one worker (a fixed pool size
+//     keeps the point comparable across machines), at a reduced scale.
 //
 // Exit codes: 0 ok (no regressions), 1 regression or benchmark failure,
 // 2 usage.
@@ -96,7 +102,11 @@ func run(out, baseline string, threshold float64, scale int) error {
 	return fmt.Errorf("%d benchmark regression(s) against %s", len(regs), baseline)
 }
 
-// measure runs the three gate benchmarks and converts their results into
+// sweepScale is sweep_all's default workload scale: every table and figure
+// in a few seconds per iteration.
+const sweepScale = 60
+
+// measure runs the gate benchmarks and converts their results into
 // trajectory points.
 func measure(scale int) ([]perf.Point, error) {
 	var points []perf.Point
@@ -148,12 +158,14 @@ func measure(scale int) ([]perf.Point, error) {
 	if err != nil {
 		return nil, err
 	}
-	bench("sched/espresso/D/w8", int64(tr.Len()), func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			core.Run(tr.Reader(), core.ConfigD, core.Params{Width: 8})
-		}
-	})
+	for _, width := range []int{8, 2048} {
+		bench(fmt.Sprintf("sched/espresso/D/w%d", width), int64(tr.Len()), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				core.Run(tr.Reader(), core.ConfigD, core.Params{Width: width})
+			}
+		})
+	}
 
 	// Short-trace core loop: per-run setup + visit loop without experiment
 	// plumbing, small enough to iterate thousands of times.
@@ -182,6 +194,32 @@ func measure(scale int) ([]perf.Point, error) {
 			core.Run(src, core.ConfigD, core.Params{Width: 8})
 			if err := trace.SourceErr(src); err != nil {
 				b.Fatal(err)
+			}
+		}
+	})
+	if failure != nil {
+		return nil, failure
+	}
+
+	// The full sweep, cold: every iteration regenerates the traces and
+	// renders every registry experiment, as ddsim -experiment all does.
+	sscale := scale
+	if sscale <= 0 {
+		sscale = sweepScale
+	}
+	bench("sweep_all", 0, func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			workloads.FlushCache()
+			r := experiments.NewRunner(sscale).WithWorkers(1)
+			for _, e := range experiments.Registry() {
+				rep, err := e.Run(r)
+				if err != nil {
+					b.Fatalf("%s: %v", e.ID, err)
+				}
+				if rep.Degraded() {
+					b.Fatalf("%s: degraded: %v", e.ID, rep.Errs)
+				}
 			}
 		}
 	})

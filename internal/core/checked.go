@@ -137,19 +137,13 @@ func (s *sched) selfCheck() *InvariantError {
 	}
 
 	// Window occupancy can never exceed the window capacity.
-	if len(s.heap) > s.p.WindowSize {
-		return viol("window-occupancy", "window holds %d instructions, capacity %d", len(s.heap), s.p.WindowSize)
-	}
-	// The in-window issue-time heap must be a min-heap.
-	for i := 1; i < len(s.heap); i++ {
-		if parent := (i - 1) / 2; s.heap[parent] > s.heap[i] {
-			return viol("window-heap-order", "heap[%d]=%d > heap[%d]=%d", parent, s.heap[parent], i, s.heap[i])
-		}
+	if s.window.n > s.p.WindowSize {
+		return viol("window-occupancy", "window holds %d instructions, capacity %d", s.window.n, s.p.WindowSize)
 	}
 	// Window slots must free in monotone non-decreasing cycle order
-	// (detected eagerly in heapPop, reported here).
-	if s.heapMono != nil {
-		return s.heapMono
+	// (detected eagerly in windowPush, reported here).
+	if s.windowMono != nil {
+		return s.windowMono
 	}
 	// No cycle may issue more instructions than the machine width. The
 	// issue ring keeps counts only for the live range [base, maxIssue] —

@@ -160,10 +160,9 @@ type Params struct {
 	ProgressEvery int64
 
 	// SelfCheck makes RunChecked sweep the scheduler invariants (window
-	// occupancy, issue bandwidth, heap order and monotone completion, IPC
-	// bound, collapse-counter consistency) every SelfCheckEvery
-	// instructions, failing the run with an *InvariantError on the first
-	// violation. Each sweep costs O(window + issued cycles); see
+	// occupancy and monotone completion, issue bandwidth, IPC bound,
+	// collapse-counter consistency) every SelfCheckEvery instructions,
+	// failing the run with an *InvariantError on the first violation. Each sweep costs O(window + issued cycles); see
 	// docs/robustness.md.
 	SelfCheck bool
 	// SelfCheckEvery is the instruction interval between invariant sweeps;

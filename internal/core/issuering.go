@@ -16,8 +16,11 @@ import "math/bits"
 //     cycles below the frontier are dead: their counts can never be read
 //     or written again.
 //  2. The frontier is monotone non-decreasing (window slots free in
-//     non-decreasing cycle order — the "window-heap-monotone" invariant),
-//     so the live range only ever slides forward.
+//     non-decreasing cycle order — the "window-heap-monotone" invariant,
+//     checked on every windowQueue push), so the live range only ever
+//     slides forward. The window queue (window.go) rests on the same
+//     invariant and uses the same ring layout for its per-cycle
+//     in-window counts.
 //
 // Counts live in a power-of-two slice indexed by cycle&mask. advance
 // slides the lower bound forward, zeroing the vacated slots so they are

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"repro/internal/bpred"
 	"repro/internal/collapse"
@@ -82,8 +83,8 @@ type sched struct {
 
 	regs [isa.NumRegs]def
 
-	// Window occupancy: a min-heap of in-window issue times.
-	heap []int64
+	// Window occupancy: a monotone bucket queue of in-window issue times.
+	window windowQueue
 
 	// Issue bandwidth accounting per cycle: a ring of per-cycle counts
 	// sliding with the window entry frontier (bounded memory, no hashing).
@@ -101,8 +102,8 @@ type sched struct {
 	ring     []bool
 	ringMask int64
 
-	// Static analysis cache, indexed by PC.
-	infos []*collapse.Info
+	// Static decode cache, indexed by PC.
+	infos []*pcInfo
 
 	seq      int64
 	maxIssue int64
@@ -122,25 +123,25 @@ type sched struct {
 	pairIDs   map[uint32]int64
 	tripleIDs map[uint64]int64
 
-	// Scratch buffers reused across visits to keep the hot loop
-	// allocation-free.
-	readBuf []uint8
-	optBuf  [2][]slotOption
+	// Scratch reused across visits, so the hot loop neither allocates nor
+	// copies option and group structs by value: the per-slot collapse
+	// options and the visiting consumer's chosen group.
+	opts  [2][maxSlotOptions]slotOption
+	group groupChoice
 
 	// Sparse fallback for the static-analysis cache: PCs beyond
 	// maxDenseInfos (possible only with corrupt or adversarial traces) go
 	// through a map so a wild 32-bit PC cannot force a multi-gigabyte
 	// dense-table allocation.
-	infoMap map[uint32]*collapse.Info
+	infoMap map[uint32]*pcInfo
 
 	// err carries a failure raised mid-visit (e.g. an injected cache
 	// fault); RunChecked surfaces it after the visit completes.
 	err error
 
-	// Self-check state: the last cycle popped off the window heap, for the
-	// monotone-completion invariant, and the first detected violation.
-	lastPop  int64
-	heapMono *InvariantError
+	// Self-check state: the first window push below the queue's head (a
+	// violation of the monotone-completion invariant).
+	windowMono *InvariantError
 }
 
 // maxDenseInfos bounds the dense static-analysis cache; production traces
@@ -162,7 +163,7 @@ func newSched(cfg Config, params Params) *sched {
 		brc:       params.Branch,
 		addr:      params.Addr,
 		vals:      params.Value,
-		heap:      make([]int64, 0, params.WindowSize),
+		window:    newWindowQueue(ringSize),
 		issue:     newIssueRing(ringSize),
 		stores:    make(map[uint32]int64, 1<<12),
 		ring:      make([]bool, ringSize),
@@ -179,15 +180,45 @@ func newSched(cfg Config, params Params) *sched {
 	return s
 }
 
-func (s *sched) info(pc uint32, in *isa.Instr) *collapse.Info {
+// pcInfo is one static instruction decoded for the scheduler, once per
+// PC: its collapse analysis plus every operand and class fact visit would
+// otherwise re-derive from each dynamic record. A trace maps each PC to one
+// static instruction (the predictors index their tables by PC on the same
+// premise), so the first record at a PC decodes it for all later ones.
+type pcInfo struct {
+	collapse.Info
+
+	// collapsing: the configuration collapses and the instruction is a
+	// consumer, so its slot registers go through the group chooser.
+	collapsing bool
+	// slotRegs are the distinct collapsible operand registers in first-use
+	// order; slotUses counts how often the instruction names each one
+	// (Rb+Rb: 2).
+	slotRegs [2]uint8
+	slotUses [2]int
+	nslots   int
+	// plain are the registers read as plain dependences: every non-r0 read
+	// the slot machinery does not handle. A store's data operand is always
+	// one (only its address expression collapses).
+	plain  [3]uint8
+	nplain int
+
+	write      int // destination register; -1 when none
+	latency    int64
+	load       bool
+	store      bool
+	condBranch bool
+}
+
+func (s *sched) info(pc uint32, in *isa.Instr) *pcInfo {
 	if pc >= maxDenseInfos {
 		if s.infoMap == nil {
-			s.infoMap = make(map[uint32]*collapse.Info)
+			s.infoMap = make(map[uint32]*pcInfo)
 		}
 		if inf := s.infoMap[pc]; inf != nil {
 			return inf
 		}
-		inf := s.analyze(in)
+		inf := s.decode(in)
 		s.infoMap[pc] = inf
 		return inf
 	}
@@ -195,70 +226,69 @@ func (s *sched) info(pc uint32, in *isa.Instr) *collapse.Info {
 		s.infos = append(s.infos, nil)
 	}
 	if s.infos[pc] == nil {
-		s.infos[pc] = s.analyze(in)
+		s.infos[pc] = s.decode(in)
 	}
 	return s.infos[pc]
 }
 
-func (s *sched) analyze(in *isa.Instr) *collapse.Info {
-	inf := collapse.Analyze(in)
+func (s *sched) decode(in *isa.Instr) *pcInfo {
+	inf := &pcInfo{
+		Info:       collapse.Analyze(in),
+		write:      in.Writes(),
+		latency:    int64(isa.Latency(in.Op)),
+		load:       in.Op == isa.Ld,
+		store:      in.Op == isa.St,
+		condBranch: in.IsCondBranch(),
+	}
 	if s.cfg.NoShiftCollapse && inf.Class == isa.ClassSh {
 		inf.Producer = false
 		inf.Consumer = false
 	}
-	return &inf
+	inf.collapsing = s.cfg.Collapse && inf.Consumer
+	for _, r := range inf.Slots {
+		k := 0
+		for k < inf.nslots && inf.slotRegs[k] != r {
+			k++
+		}
+		if k == inf.nslots {
+			inf.slotRegs[k] = r
+			inf.nslots++
+		}
+		inf.slotUses[k]++
+	}
+	// in.Reads lists a store's data operand first, before the address
+	// registers.
+	var reads [3]uint8
+	for i, r := range in.Reads(reads[:0]) {
+		if r == isa.R0 {
+			continue
+		}
+		storeData := inf.store && i == 0
+		if inf.collapsing && !storeData && slices.Contains(inf.Slots, r) {
+			continue // handled by the slot machinery
+		}
+		inf.plain[inf.nplain] = r
+		inf.nplain++
+	}
+	return inf
 }
 
-// --- window heap ---------------------------------------------------------
+// --- window ----------------------------------------------------------------
 
-func (s *sched) heapPush(v int64) {
-	s.heap = append(s.heap, v)
-	i := len(s.heap) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if s.heap[parent] <= s.heap[i] {
-			break
+// windowPush enters an issued instruction into the window queue. Window
+// slots must free in monotone non-decreasing cycle order: every push is at
+// least the last popped cycle + 1, so one below the queue's head means the
+// scheduler's state is corrupt. SelfCheck records the first such push.
+func (s *sched) windowPush(v int64) {
+	if s.p.SelfCheck && v < s.window.head && s.windowMono == nil {
+		s.windowMono = &InvariantError{
+			Invariant: "window-heap-monotone",
+			Cycle:     s.maxIssue,
+			Seq:       s.seq,
+			Detail:    fmt.Sprintf("pushed cycle %d below the window head %d", v, s.window.head),
 		}
-		s.heap[parent], s.heap[i] = s.heap[i], s.heap[parent]
-		i = parent
 	}
-}
-
-func (s *sched) heapPop() int64 {
-	top := s.heap[0]
-	if s.p.SelfCheck {
-		// Window slots must free in monotone non-decreasing cycle order:
-		// every push is at least the last popped entry cycle + 1.
-		if top < s.lastPop && s.heapMono == nil {
-			s.heapMono = &InvariantError{
-				Invariant: "window-heap-monotone",
-				Cycle:     s.maxIssue,
-				Seq:       s.seq,
-				Detail:    fmt.Sprintf("popped cycle %d after %d", top, s.lastPop),
-			}
-		}
-		s.lastPop = top
-	}
-	last := len(s.heap) - 1
-	s.heap[0] = s.heap[last]
-	s.heap = s.heap[:last]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		small := i
-		if l < last && s.heap[l] < s.heap[small] {
-			small = l
-		}
-		if r < last && s.heap[r] < s.heap[small] {
-			small = r
-		}
-		if small == i {
-			break
-		}
-		s.heap[i], s.heap[small] = s.heap[small], s.heap[i]
-		i = small
-	}
-	return top
+	s.window.push(v)
 }
 
 // slotted returns the first cycle >= t with spare issue bandwidth and
@@ -304,64 +334,50 @@ func (s *sched) visit(rec *trace.Record) {
 	s.valueHit = false
 	s.loadExtra = 0
 
-	in := &rec.Instr
-	inf := s.info(rec.PC, in)
+	inf := s.info(rec.PC, &rec.Instr)
 
 	// Window entry: the window is kept full; a slot frees one cycle after
 	// the earliest in-window issue.
 	entry := int64(1)
-	if len(s.heap) == s.p.WindowSize {
-		entry = s.heapPop() + 1
+	if s.window.n == s.p.WindowSize {
+		entry = s.window.pop() + 1
 	}
 	// The entry frontier is monotone (window-heap-monotone invariant), and
 	// nothing can issue below it anymore: slide the issue ring.
 	s.issue.advance(entry)
 	lower := max64(entry, s.barrier)
 
-	collapsing := s.cfg.Collapse && inf.Consumer
-
-	// Plain (non-collapsible) operand readiness. A store's data operand is
-	// always a plain dependence (only its address expression collapses);
-	// in.Reads lists it first, before the address registers.
+	// Plain (non-collapsible) operand readiness.
 	var plainReady int64
-	s.readBuf = in.Reads(s.readBuf[:0])
-	for i, r := range s.readBuf {
-		if r == isa.R0 {
-			continue
-		}
-		storeData := in.Op == isa.St && i == 0
-		if collapsing && !storeData && inSlots(inf, r) {
-			continue // handled by the slot machinery
-		}
+	for _, r := range inf.plain[:inf.nplain] {
 		plainReady = max64(plainReady, s.regs[r].ready)
 	}
 
 	// Collapsible operand readiness (with the chosen collapse group).
-	var group groupChoice
-	if collapsing {
-		group = s.chooseGroup(inf, seq, entry)
+	group := &s.group
+	if inf.collapsing {
+		s.chooseGroup(group, inf, seq, entry)
 	} else {
-		group = s.plainGroup(inf)
+		s.plainGroup(group, inf)
 	}
 
 	var issue int64
-	isLoad := in.Op == isa.Ld
-	if isLoad {
-		issue = s.scheduleLoad(rec, inf, seq, lower, plainReady, &group)
+	if inf.load {
+		issue = s.scheduleLoad(rec, inf, seq, lower, plainReady, group)
 	} else {
 		issue = s.slotted(max64(lower, max64(plainReady, group.ready)))
-		if in.Op == isa.St {
-			s.stores[rec.Addr] = issue + int64(isa.Latency(in.Op))
+		if inf.store {
+			s.stores[rec.Addr] = issue + inf.latency
 			if s.p.Cache != nil {
 				s.p.Cache.Access(rec.Addr) // write-allocate; no extra latency modeled
 			}
 		}
-		s.commitGroup(inf, seq, &group)
+		s.commitGroup(inf, seq, group)
 	}
 
 	// Conditional branches: realistic prediction; a misprediction bars all
 	// later instructions from issuing at or before the branch's cycle.
-	if in.IsCondBranch() {
+	if inf.condBranch {
 		s.res.CondBranches++
 		if p, ok := s.brc.(*bpred.Perfect); ok {
 			p.SetOutcome(rec.Taken)
@@ -374,14 +390,14 @@ func (s *sched) visit(rec *trace.Record) {
 		}
 	}
 
-	s.heapPush(issue)
+	s.windowPush(issue)
 
 	// Record the new register definition.
-	if w := in.Writes(); w >= 0 {
-		d := &s.regs[w]
+	if inf.write >= 0 {
+		d := &s.regs[inf.write]
 		d.seq = seq
 		d.issue = issue
-		d.ready = issue + int64(isa.Latency(in.Op)) + s.loadExtra
+		d.ready = issue + inf.latency + s.loadExtra
 		if s.valueHit {
 			// Value prediction removed the load-use dependence: consumers
 			// read the predicted value without waiting for the load.
@@ -393,14 +409,9 @@ func (s *sched) visit(rec *trace.Record) {
 		d.nsrcs = 0
 		d.srcReady = 0
 		if inf.Producer {
-			seen := [2]uint8{255, 255}
-			for _, r := range inf.Slots {
-				if r == seen[0] || r == seen[1] {
-					continue
-				}
-				seen[d.nsrcs] = r
-				src := &s.regs[r]
-				d.srcs[d.nsrcs] = srcSnap{
+			for k := 0; k < inf.nslots; k++ {
+				src := &s.regs[inf.slotRegs[k]]
+				d.srcs[k] = srcSnap{
 					seq:      src.seq,
 					issue:    src.issue,
 					ready:    src.ready,
@@ -408,27 +419,18 @@ func (s *sched) visit(rec *trace.Record) {
 					counts:   src.counts,
 					producer: src.producer,
 					sig:      src.sig,
-					uses:     inf.UsesOf(r),
+					uses:     inf.slotUses[k],
 				}
 				d.srcReady = max64(d.srcReady, src.ready)
-				d.nsrcs++
 			}
+			d.nsrcs = inf.nslots
 		}
 	}
-}
-
-func inSlots(inf *collapse.Info, r uint8) bool {
-	for _, sreg := range inf.Slots {
-		if sreg == r {
-			return true
-		}
-	}
-	return false
 }
 
 // --- loads ----------------------------------------------------------------
 
-func (s *sched) scheduleLoad(rec *trace.Record, inf *collapse.Info, seq, lower, plainReady int64, group *groupChoice) int64 {
+func (s *sched) scheduleLoad(rec *trace.Record, inf *pcInfo, seq, lower, plainReady int64, group *groupChoice) int64 {
 	s.res.Loads++
 	addrReady := max64(plainReady, group.ready)
 	memDep := s.stores[rec.Addr]
@@ -518,13 +520,13 @@ type groupChoice struct {
 	nprod     int
 }
 
-// plainGroup computes operand readiness without collapsing.
-func (s *sched) plainGroup(inf *collapse.Info) groupChoice {
-	var g groupChoice
-	for _, r := range inf.Slots {
+// plainGroup fills g with the operand readiness without collapsing: no
+// producers, so commitGroup records nothing for it.
+func (s *sched) plainGroup(g *groupChoice, inf *pcInfo) {
+	g.ready, g.nprod = 0, 0
+	for _, r := range inf.slotRegs[:inf.nslots] {
 		g.ready = max64(g.ready, s.regs[r].ready)
 	}
-	return g
 }
 
 // chooseGroup enumerates the collapse options for the consumer's slots and
@@ -537,70 +539,49 @@ func (s *sched) plainGroup(inf *collapse.Info) groupChoice {
 // recursive closure allocated itself and its captures on every visit. The
 // iteration order (slot 0 outer, slot 1 inner, options in slotOptions
 // order) matches the recursion exactly, preserving tie-breaks bit for bit.
-func (s *sched) chooseGroup(inf *collapse.Info, seq, entry int64) groupChoice {
-	// Distinct slot registers with multiplicities.
-	var slotRegs [2]uint8
-	var slotMult [2]int
-	nslots := 0
-	for _, r := range inf.Slots {
-		found := false
-		for i := 0; i < nslots; i++ {
-			if slotRegs[i] == r {
-				slotMult[i]++
-				found = true
-				break
-			}
-		}
-		if !found && nslots < 2 {
-			slotRegs[nslots] = r
-			slotMult[nslots] = 1
-			nslots++
-		}
+// The choice is written into best, so no group struct travels by value.
+func (s *sched) chooseGroup(best *groupChoice, inf *pcInfo, seq, entry int64) {
+	var nopts [2]int
+	for i := 0; i < inf.nslots; i++ {
+		nopts[i] = s.slotOptions(&s.opts[i], inf.slotRegs[i], seq, entry)
 	}
 
-	var opts [2][]slotOption
-	for i := 0; i < nslots; i++ {
-		opts[i] = s.slotOptions(s.optBuf[i][:0], slotRegs[i], seq, entry)
-		s.optBuf[i] = opts[i][:0]
-	}
-
-	best := groupChoice{ready: -1}
-	switch nslots {
+	best.ready, best.nprod = -1, 0
+	switch inf.nslots {
 	case 0:
-		s.consider(&best, 0, inf.Counts, nil, nil)
+		s.consider(best, 0, inf.Counts, nil, nil)
 	case 1:
-		for i := range opts[0] {
-			o := &opts[0][i]
+		for i := range nopts[0] {
+			o := &s.opts[0][i]
 			c := inf.Counts
 			if o.collapsed {
-				c = c.ReplaceUses(slotMult[0], o.unit)
+				c = c.ReplaceUses(inf.slotUses[0], o.unit)
 			}
-			s.consider(&best, o.ready, c, o, nil)
+			s.consider(best, o.ready, c, o, nil)
 		}
 	default:
-		for i := range opts[0] {
-			o0 := &opts[0][i]
+		for i := range nopts[0] {
+			o0 := &s.opts[0][i]
 			c0 := inf.Counts
 			if o0.collapsed {
-				c0 = c0.ReplaceUses(slotMult[0], o0.unit)
+				c0 = c0.ReplaceUses(inf.slotUses[0], o0.unit)
 			}
-			for j := range opts[1] {
-				o1 := &opts[1][j]
+			for j := range nopts[1] {
+				o1 := &s.opts[1][j]
 				if o0.nprod+o1.nprod > 3 {
 					continue
 				}
 				c := c0
 				if o1.collapsed {
-					c = c.ReplaceUses(slotMult[1], o1.unit)
+					c = c.ReplaceUses(inf.slotUses[1], o1.unit)
 				}
-				s.consider(&best, max64(o0.ready, o1.ready), c, o0, o1)
+				s.consider(best, max64(o0.ready, o1.ready), c, o0, o1)
 			}
 		}
 	}
 	if best.ready < 0 {
-		return s.plainGroup(inf)
+		s.plainGroup(best, inf)
 	}
-	return best
 }
 
 // consider evaluates one fully chosen option combination (o1 may be nil,
@@ -640,39 +621,45 @@ func (s *sched) consider(best *groupChoice, ready int64, counts collapse.Counts,
 	best.nprod = n
 }
 
-// slotOptions appends the ways to obtain the operand in register r to opts.
-func (s *sched) slotOptions(opts []slotOption, r uint8, seq, entry int64) []slotOption {
+// maxSlotOptions bounds the ways to obtain one operand: plain, pair-through,
+// and one deeper option per non-empty subset of the producer's (at most
+// two) own sources.
+const maxSlotOptions = 2 + (1<<2 - 1)
+
+// slotOptions writes the ways to obtain the operand in register r into
+// opts, in place, and returns how many it wrote.
+func (s *sched) slotOptions(opts *[maxSlotOptions]slotOption, r uint8, seq, entry int64) int {
 	d := &s.regs[r]
-	opts = append(opts, slotOption{ready: d.ready}) // plain
+	plain := &opts[0]
+	plain.ready, plain.collapsed, plain.nprod = d.ready, false, 0
 
 	if !d.producer || !s.coresident(d.seq, d.issue, seq, entry) {
-		return opts
+		return 1
 	}
 	if s.cfg.ConsecutiveOnly && seq-d.seq != 1 {
-		return opts
-	}
-
-	top := srcSnap{
-		seq: d.seq, issue: d.issue, ready: d.ready,
-		srcReady: d.srcReady, counts: d.counts, producer: d.producer, sig: d.sig,
+		return 1
 	}
 
 	// Pair-through: wait for the producer's own sources instead.
-	pair := slotOption{ready: d.srcReady, unit: d.counts, collapsed: true}
-	pair.producers[0] = top
-	pair.nprod = 1
-	opts = append(opts, pair)
+	pair := &opts[1]
+	pair.ready, pair.unit, pair.collapsed, pair.nprod = d.srcReady, d.counts, true, 1
+	pair.producers[0] = srcSnap{
+		seq: d.seq, issue: d.issue, ready: d.ready,
+		srcReady: d.srcReady, counts: d.counts, producer: d.producer, sig: d.sig,
+	}
+	n := 2
 
 	if s.cfg.PairsOnly {
-		return opts
+		return n
 	}
 
 	// Deeper: additionally collapse through one or both of the producer's
 	// own producers (chain / tree triples and the zero-detection quads).
+	// A candidate is built in the next free slot and kept only if feasible.
 	for mask := 1; mask < 1<<d.nsrcs; mask++ {
-		o := slotOption{unit: d.counts, collapsed: true}
-		o.producers[0] = top
-		o.nprod = 1
+		o := &opts[n]
+		o.ready, o.unit, o.collapsed, o.nprod = 0, d.counts, true, 1
+		o.producers[0] = pair.producers[0]
 		feasible := true
 		for k := 0; k < d.nsrcs; k++ {
 			src := &d.srcs[k]
@@ -697,10 +684,10 @@ func (s *sched) slotOptions(opts []slotOption, r uint8, seq, entry int64) []slot
 			o.nprod++
 		}
 		if feasible {
-			opts = append(opts, o)
+			n++
 		}
 	}
-	return opts
+	return n
 }
 
 // coresident reports whether the producer at pseq (issuing at pissue) and
@@ -720,7 +707,7 @@ func (s *sched) coresident(pseq, pissue, cseq, entry int64) bool {
 // commitGroup records the statistics for a chosen collapse group. Groups
 // with no producers (plain scheduling) record nothing. Signature tallies
 // go into the packed-SigID tables; no strings are built here.
-func (s *sched) commitGroup(inf *collapse.Info, seq int64, g *groupChoice) {
+func (s *sched) commitGroup(inf *pcInfo, seq int64, g *groupChoice) {
 	if g.nprod == 0 {
 		return
 	}

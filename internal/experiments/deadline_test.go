@@ -122,3 +122,24 @@ func TestResultCtxDeadlineIsNotCached(t *testing.T) {
 		t.Fatalf("live-context retry after expired call failed: %v", err)
 	}
 }
+
+// TestRegeneratedTraceOutlivesFirstCallerCtx: under a trace-memory budget
+// the Runner memoizes a regenerating provider, created inside the first
+// cell's context. Ending that context must not poison the provider: a later
+// cell with its own live context regenerates the trace and succeeds.
+func TestRegeneratedTraceOutlivesFirstCallerCtx(t *testing.T) {
+	w, err := workloads.ByName("compress")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := NewRunner(60).WithMaxTraceMem(1)
+	ctx1, cancel1 := context.WithCancel(context.Background())
+	if _, err := r.ResultCtx(ctx1, w, core.ConfigA, 4); err != nil {
+		cancel1()
+		t.Fatalf("first cell: %v", err)
+	}
+	cancel1()
+	if _, err := r.ResultCtx(context.Background(), w, core.ConfigD, 4); err != nil {
+		t.Fatalf("cell after the first caller's context ended: %v", err)
+	}
+}

@@ -11,7 +11,7 @@
 //   - issue-bandwidth accounting: a map from cycle to count (core: a
 //     power-of-two ring sliding with the window frontier);
 //   - the scheduling window: a plain slice with a linear minimum scan
-//     (core: a hand-rolled binary min-heap);
+//     (core: a monotone bucket queue over a power-of-two ring);
 //   - collapse signatures: Go strings and string-keyed maps everywhere
 //     (core: interned SigIDs packed into integer keys);
 //   - group choice: direct recursion over per-slot options (core: an

@@ -103,7 +103,10 @@ func traceBuffer(ctx context.Context, prog *isa.Program, steps int64) (*trace.Bu
 // into a spool file written afresh at that path; otherwise maxMem > 0
 // buffers while the trace fits and serves an over-budget one by
 // regeneration; otherwise the trace is materialized in a Buffer. ctx
-// bounds the first pass and every regeneration an Open triggers.
+// bounds the first pass only. The provider outlives it: callers memoize
+// providers across requests, so a regeneration an Open triggers keeps ctx's
+// values but not its cancellation, and stops when its consumer closes the
+// stream (trace.CloseSource) — as a cell canceled mid-run does.
 func ProgramProvider(ctx context.Context, prog *isa.Program, steps int64, spoolPath string, maxMem int64) (trace.Provider, []int32, error) {
 	if spoolPath == "" && maxMem <= 0 {
 		buf, out, err := traceBuffer(ctx, prog, steps)
@@ -146,8 +149,9 @@ func ProgramProvider(ctx context.Context, prog *isa.Program, steps int64, spoolP
 	if buf != nil {
 		return buf, out, nil
 	}
+	regenCtx := context.WithoutCancel(ctx)
 	return trace.NewRegenProviderHashed(func() (trace.ErrSource, error) {
-		return stream(ctx, prog, steps)
+		return stream(regenCtx, prog, steps)
 	}, hs.Sum64(), hs.Records()), out, nil
 }
 
@@ -167,9 +171,9 @@ func (w *Workload) Stream(ctx context.Context, scale int) (*vm.TraceStream, erro
 }
 
 // Provider returns a trace Provider for the workload at the given scale
-// (0 = DefaultScale) under the chosen strategy. ctx bounds generation —
-// both the eager first pass and, for the regeneration strategy, every
-// later re-run an Open triggers.
+// (0 = DefaultScale) under the chosen strategy. ctx bounds the eager first
+// pass; for the regeneration strategy, each later re-run an Open triggers
+// lives as long as its consumer keeps the stream open (see ProgramProvider).
 func (w *Workload) Provider(ctx context.Context, scale int, opt ProviderOptions) (trace.Provider, error) {
 	if scale <= 0 {
 		scale = w.DefaultScale

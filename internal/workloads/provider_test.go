@@ -8,7 +8,10 @@ package workloads
 
 import (
 	"context"
+	"errors"
+	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/trace"
@@ -130,5 +133,44 @@ func TestProviderSpoolReuse(t *testing.T) {
 	}
 	if p1.(*trace.Spool).Path() != p2.(*trace.Spool).Path() {
 		t.Fatalf("spool paths differ: %s vs %s", p1.(*trace.Spool).Path(), p2.(*trace.Spool).Path())
+	}
+}
+
+// TestRegenStreamStopsWithItsConsumer: a regenerating provider outlives
+// the context it was created under, so a regeneration's lifetime is its
+// consumer's. A consumer canceled mid-stream stops reading and closes the
+// stream, and the generator goroutine must then exit.
+func TestRegenStreamStopsWithItsConsumer(t *testing.T) {
+	w, err := ByName("compress")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	prov, err := w.Provider(ctx, w.DefaultScale/4, ProviderOptions{MaxMem: 1})
+	cancel() // the creating request ends before any regeneration
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := runtime.NumGoroutine()
+	src, err := prov.Open()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cellCtx, stop := context.WithCancel(context.Background())
+	_, err = core.RunChecked(cellCtx, src, core.ConfigD, core.Params{
+		Width: 8, ProgressEvery: 2048,
+		Progress: func(core.Progress) { stop() },
+	})
+	trace.CloseSource(src)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("canceled consumer: err = %v, want context.Canceled", err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			t.Fatalf("generator still running after its consumer closed the stream: %d goroutines, %d before",
+				runtime.NumGoroutine(), before)
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }
