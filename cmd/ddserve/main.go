@@ -5,14 +5,13 @@
 // store I/O, and graceful drain on SIGINT/SIGTERM.
 //
 //	ddserve -addr :8080 -store results/     # serve with a durable store
-//	ddserve -soak                           # chaos soak campaign (CI gate)
-//	ddserve -soak -schedules 8 -seed 7      # shorter, different faults
+//	ddserve -store results/ -scrub-interval 1h   # plus background scrubbing
 //
 // On SIGINT/SIGTERM the server drains: admissions stop (503), in-flight
 // jobs finish and checkpoint, queued jobs are canceled. A drain that beats
 // -drain-timeout exits 0; one that exceeds it cancels in-flight jobs and
 // exits 130, following the exit-code contract in docs/robustness.md §4:
-// 0 ok, 1 failure (including soak violations), 2 usage, 130 canceled.
+// 0 ok, 1 failure, 2 usage, 130 canceled.
 package main
 
 import (
@@ -25,7 +24,6 @@ import (
 	"os"
 	"time"
 
-	"repro/internal/chaos"
 	"repro/internal/cli"
 	"repro/internal/experiments"
 	"repro/internal/metrics"
@@ -50,12 +48,6 @@ func main() {
 		spoolDir   = flag.String("spool", "", "spool workload traces to this directory instead of holding them in memory")
 		maxTraceMB = flag.Int64("max-trace-mem", 0, "in-memory trace budget in MiB; larger traces regenerate on demand (0 = unbounded)")
 		drainTO    = flag.Duration("drain-timeout", 30*time.Second, "graceful-drain budget on shutdown")
-		soak       = flag.Bool("soak", false, "run the chaos soak campaign instead of serving")
-		schedules  = flag.Int("schedules", 64, "soak: number of randomized fault schedules")
-		seed       = flag.Int64("seed", 1, "soak/powerfail: campaign seed")
-		soakDir    = flag.String("soak-dir", "", "soak: scratch directory (empty = temp)")
-		powerfail  = flag.Bool("powerfail", false, "run the power-fail crash-consistency campaign instead of serving")
-		trials     = flag.Int("trials", 8, "powerfail: number of randomized kill-points")
 		scrubEvery = flag.Duration("scrub-interval", 0, "background store scrub pass interval (0 = scrubbing off; needs -store)")
 		scrubRate  = flag.Duration("scrub-rate", 10*time.Millisecond, "background scrub per-entry pacing")
 		metricsOn  = flag.Bool("metrics", true, "serve GET /metrics (Prometheus text) and GET /jobs/{id}/trace")
@@ -64,16 +56,11 @@ func main() {
 	if flag.NArg() != 0 {
 		cli.Exit("ddserve", cli.Usagef("unexpected arguments: %v", flag.Args()))
 	}
+	if *scrubEvery > 0 && *storeDir == "" {
+		cli.Exit("ddserve", cli.Usagef("-scrub-interval requires -store"))
+	}
 	logger := log.New(os.Stderr, "ddserve: ", log.LstdFlags)
 
-	if *soak {
-		cli.Exit("ddserve", runSoak(logger, *seed, *schedules, *soakDir))
-		return
-	}
-	if *powerfail {
-		cli.Exit("ddserve", runPowerFail(logger, *seed, *trials))
-		return
-	}
 	cli.Exit("ddserve", serve(logger, options{
 		addr: *addr, storeDir: *storeDir, drainTimeout: *drainTO,
 		scrubInterval: *scrubEvery, scrubRate: *scrubRate,
@@ -193,41 +180,4 @@ func logMetricsSnapshot(logger *log.Logger, srv *server.Server) {
 		vals["server_jobs_admitted_total"], vals["server_jobs_done_total"],
 		vals["server_jobs_failed_total"], vals["server_jobs_canceled_total"],
 		vals["server_shed_total"], vals["server_job_seconds_sum"])
-}
-
-// runPowerFail executes the crash-consistency campaign (chaos.RunPowerFail):
-// randomized power cuts mid-sweep over a simulated filesystem, each
-// followed by a verify + resume + byte-identity check. Any violation is a
-// failure (exit 1) — CI gates on it.
-func runPowerFail(logger *log.Logger, seed int64, trials int) error {
-	start := time.Now()
-	sum, err := chaos.RunPowerFail(chaos.PowerFailOptions{Seed: seed, Trials: trials, Log: logger})
-	if err != nil {
-		return err
-	}
-	logger.Printf("powerfail: %d trial(s) in %s", sum.Trials, time.Since(start).Round(time.Millisecond))
-	if n := len(sum.Violations); n > 0 {
-		return fmt.Errorf("powerfail: %d violation(s); first: %s", n, sum.Violations[0])
-	}
-	return nil
-}
-
-func runSoak(logger *log.Logger, seed int64, schedules int, dir string) error {
-	logger.Printf("soak: %d schedules, seed %d", schedules, seed)
-	start := time.Now()
-	sum, err := chaos.Run(chaos.Options{
-		Seed:      seed,
-		Schedules: schedules,
-		Dir:       dir,
-		Log:       logger.Printf,
-	})
-	if sum != nil {
-		logger.Printf("soak: %d submitted, %d accepted, %d shed, %d done, %d failed (kinds %v), resume_ok=%v in %s",
-			sum.Submitted, sum.Accepted, sum.Shed, sum.Done, sum.Failed, sum.FailKinds,
-			sum.ResumeOK, time.Since(start).Round(time.Millisecond))
-		for _, v := range sum.Violations {
-			logger.Printf("soak: VIOLATION: %s", v)
-		}
-	}
-	return err
 }

@@ -89,6 +89,9 @@ func main() {
 		benchJSON  = flag.String("benchjson", "", "write per-cell simulation throughput (BENCH_*.json trajectory point) to this file")
 	)
 	flag.Parse()
+	if flag.NArg() != 0 {
+		cli.Exit("ddsim", cli.Usagef("unexpected arguments: %v", flag.Args()))
+	}
 
 	if *listFlag {
 		list()

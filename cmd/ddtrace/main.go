@@ -48,6 +48,9 @@ func main() {
 		selfCheck = flag.Bool("selfcheck", false, "with -info: also simulate the trace (config D, width 8) with invariant sweeps")
 	)
 	flag.Parse()
+	if flag.NArg() != 0 {
+		cli.Exit("ddtrace", cli.Usagef("unexpected arguments: %v", flag.Args()))
+	}
 
 	ctx, stop := cli.Context(*timeout)
 	defer stop()

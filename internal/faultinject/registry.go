@@ -36,8 +36,8 @@ const (
 	// computation (Runner.Result).
 	PointExperiment = "experiments.run.result"
 	// PointStoreGet fires on result-store reads behind the serving
-	// layer's circuit breaker (internal/server); chaos campaigns arm it to
-	// simulate a failing disk.
+	// layer's circuit breaker (internal/server); the server tests arm it
+	// to simulate a failing disk.
 	PointStoreGet = "server.store.get"
 	// PointStorePut fires on result-store writes behind the breaker.
 	PointStorePut = "server.store.put"

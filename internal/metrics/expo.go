@@ -3,8 +3,8 @@ package metrics
 // Prometheus text exposition (version 0.0.4): the lingua franca of every
 // scraping stack, and greppable by a human under pressure. Families render
 // in name order, children in label order, so two snapshots of the same
-// state are byte-identical — the golden test and the soak's invariant
-// checks depend on that determinism.
+// state are byte-identical — the golden test and the server's metric
+// identity checks depend on that determinism.
 
 import (
 	"bufio"
@@ -92,8 +92,8 @@ func escapeLabel(s string) string {
 
 // ParseText parses text exposition format back into a flat map from
 // sample name (labels included verbatim, e.g. `jobs_total{state="done"}`)
-// to value. It understands exactly what WritePrometheus emits — the chaos
-// soak and the CI smoke use it to assert metric invariants over a live
+// to value. It understands exactly what WritePrometheus emits — the server
+// tests and the CI smoke use it to assert metric invariants over a live
 // /metrics page without importing a client library.
 func ParseText(r io.Reader) (map[string]float64, error) {
 	out := make(map[string]float64)

@@ -134,7 +134,7 @@ func (s Snapshot) Quantile(q float64) float64 {
 }
 
 // Summary is the conventional quantile trio plus count and sum — what the
-// drain snapshot and soak logs print for each latency histogram.
+// drain snapshot prints for each latency histogram.
 type Summary struct {
 	Count int64   `json:"count"`
 	Sum   float64 `json:"sum"`

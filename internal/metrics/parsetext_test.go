@@ -1,6 +1,6 @@
 package metrics
 
-// Table-driven edge cases for ParseText: the parser is the soak's only
+// Table-driven edge cases for ParseText: the parser is the tests' only
 // window into a live /metrics page, so the corners of the exposition
 // format — empty families, escaped label values, the +Inf bucket — must
 // parse exactly, and garbage must be an error rather than a silent zero.

@@ -649,7 +649,7 @@ func (s *Server) handleGetSweep(w http.ResponseWriter, r *http.Request) {
 // renderSweepReport renders a completed sweep as a text table. It is a
 // pure function of the cells' specs and outcomes — no IDs, no timestamps —
 // so an interrupted-and-resumed sweep renders byte-identically to an
-// uninterrupted one (the chaos harness asserts exactly that).
+// uninterrupted one (TestSweepResumesAfterDrain asserts exactly that).
 func renderSweepReport(jobs []Job) string {
 	t := stats.NewTable("Workload", "Config", "Width", "IPC")
 	for _, j := range jobs {

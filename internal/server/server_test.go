@@ -8,11 +8,13 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/faultinject"
+	"repro/internal/store"
 )
 
 // testServer spins up a started Server behind httptest with a hard client
@@ -179,6 +181,9 @@ func TestAdmissionControlShedsWith429(t *testing.T) {
 	if srv.Shed() != 1 {
 		t.Fatalf("Shed = %d, want 1", srv.Shed())
 	}
+	if got := fetchMetrics(t, c, ts.URL)["server_shed_total"]; got != 1 {
+		t.Fatalf("server_shed_total = %g, want 1 (the one 429 this client saw)", got)
+	}
 
 	// readyz reports the full queue.
 	if code := getJSON(t, c, ts.URL+"/readyz", nil); code != http.StatusServiceUnavailable {
@@ -269,10 +274,39 @@ func TestPanicIsolationAndQuarantine(t *testing.T) {
 	if code := getJSON(t, c, ts.URL+"/healthz", &h); code != http.StatusOK {
 		t.Fatalf("healthz = %d", code)
 	}
-	if h.Quarantined != 1 {
-		t.Fatalf("healthz quarantined = %d, want 1", h.Quarantined)
+	if h.State != "serving" || h.Quarantined != 1 {
+		t.Fatalf("healthz state = %q, quarantined = %d; want serving, 1", h.State, h.Quarantined)
 	}
 	_ = srv
+}
+
+func TestJobsSucceedBehindFailingStore(t *testing.T) {
+	// Every store read and write fails. The breaker must absorb it: jobs
+	// still finish with results (durability degrades, results never do)
+	// and /healthz keeps serving with the breaker open.
+	faultinject.Arm(faultinject.PointStoreGet, faultinject.ErrInjected, 0)
+	faultinject.Arm(faultinject.PointStorePut, faultinject.ErrInjected, 0)
+	defer faultinject.Reset()
+
+	st, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, ts, c := testServer(t, Options{Workers: 1, QueueDepth: 8, Store: st,
+		BreakerThreshold: 2, BreakerCooldown: time.Hour})
+	for _, width := range []int{2, 4, 8} {
+		id := submitJob(t, c, ts.URL, JobSpec{Workload: "compress", Config: "D", Width: width})
+		if job := waitTerminal(t, c, ts.URL, id); job.State != StateDone || job.Result == nil || job.Result.IPC <= 0 {
+			t.Fatalf("width %d: state = %s, result = %+v, error = %v", width, job.State, job.Result, job.Error)
+		}
+	}
+	var h Health
+	if code := getJSON(t, c, ts.URL+"/healthz", &h); code != http.StatusOK {
+		t.Fatalf("healthz = %d", code)
+	}
+	if h.State != "serving" || h.Breaker == nil || h.Breaker.State != "open" {
+		t.Fatalf("healthz state = %q, breaker = %+v; want serving with the breaker open", h.State, h.Breaker)
+	}
 }
 
 func TestGracefulDrain(t *testing.T) {
@@ -286,6 +320,7 @@ func TestGracefulDrain(t *testing.T) {
 	}, 0)
 	defer faultinject.Reset()
 
+	baseline := runtime.NumGoroutine()
 	srv, ts, c := testServer(t, Options{Workers: 1, QueueDepth: 4})
 	spec := JobSpec{Workload: "compress", Config: "A", Width: 4}
 	a := submitJob(t, c, ts.URL, spec)
@@ -325,6 +360,17 @@ func TestGracefulDrain(t *testing.T) {
 	if h.State != "draining" {
 		t.Fatalf("healthz state = %q after drain", h.State)
 	}
+
+	// Once drained and disconnected, the worker pool and per-job
+	// goroutines must be gone (slack for runtime background goroutines).
+	ts.Close()
+	c.CloseIdleConnections()
+	for settle := time.Now().Add(10 * time.Second); runtime.NumGoroutine() > baseline+4; {
+		if time.Now().After(settle) {
+			t.Fatalf("goroutine leak after drain: %d running, baseline %d", runtime.NumGoroutine(), baseline)
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
 }
 
 func TestSweepCompletesAndRenders(t *testing.T) {
@@ -358,6 +404,71 @@ func TestSweepCompletesAndRenders(t *testing.T) {
 	}
 	if strings.Contains(doc.Report, "n/a") {
 		t.Fatalf("healthy sweep rendered a degraded cell:\n%s", doc.Report)
+	}
+}
+
+// TestSweepResumesAfterDrain is the serving layer's durability contract: a
+// sweep interrupted by a drain and finished by a second server over the
+// same store renders byte-identically to the same sweep run uninterrupted
+// on a fresh store.
+func TestSweepResumesAfterDrain(t *testing.T) {
+	grid := SweepSpec{
+		Workloads: []string{"compress", "espresso"},
+		Configs:   []string{"A", "D"},
+		Widths:    []int{4, 8},
+	}
+	// run serves the grid from the store in dir until stopAt cells are
+	// done (0 = until the sweep completes), drains, and returns the
+	// sweep's report ("" unless it completed) and the store's hit count.
+	run := func(dir string, workers, stopAt int) (string, int64) {
+		t.Helper()
+		st, err := store.Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv, ts, c := testServer(t, Options{Workers: workers, QueueDepth: 64, Scale: 60,
+			DefaultDeadline: 30 * time.Second, Store: st})
+		resp, body := postJSON(t, c, ts.URL+"/sweeps", grid)
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("POST /sweeps = %d: %s", resp.StatusCode, body)
+		}
+		var sweep Sweep
+		if err := json.Unmarshal(body, &sweep); err != nil {
+			t.Fatal(err)
+		}
+		var doc sweepDoc
+		waitFor(t, 2*time.Minute, func() bool {
+			getJSON(t, c, ts.URL+"/sweeps/"+sweep.ID, &doc)
+			if stopAt > 0 {
+				return doc.Done >= stopAt
+			}
+			return doc.Complete
+		})
+		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+		defer cancel()
+		if err := srv.Drain(ctx); err != nil {
+			t.Fatalf("Drain: %v", err)
+		}
+		return doc.Report, srv.HealthSnapshot().Store.Hits
+	}
+
+	// Server A has one worker, so the sweep advances cell by cell; the
+	// drain after two cells cuts the rest of the grid off mid-flight.
+	// Server B resumes on A's store: finished cells load from disk, the
+	// rest compute fresh. Server C runs the grid on a fresh store.
+	dir := t.TempDir()
+	run(dir, 1, 2)
+	resumed, hits := run(dir, 2, 0)
+	unbroken, _ := run(t.TempDir(), 2, 0)
+	if hits < 2 {
+		t.Fatalf("resumed server served %d cell(s) from the store, want >= 2 (the cells finished before the drain)", hits)
+	}
+	if resumed != unbroken {
+		t.Fatalf("resumed sweep diverged from uninterrupted run:\n--- resumed ---\n%s\n--- uninterrupted ---\n%s",
+			resumed, unbroken)
+	}
+	if strings.Contains(resumed, "n/a") {
+		t.Fatalf("resumed sweep has degraded cells:\n%s", resumed)
 	}
 }
 

@@ -171,7 +171,7 @@ func Open(dir string) (*Store, error) {
 }
 
 // OpenFS is Open over an explicit filesystem — faultfs.OS in production,
-// a *faultfs.Sim under the power-fail property tests and chaos campaigns.
+// a *faultfs.Sim under the power-fail property tests and campaign.
 // Opening sweeps stale temp files left behind by a crashed writer (older
 // than one hour; Stats.TmpCleaned counts them) so they cannot accumulate
 // forever.
